@@ -89,8 +89,57 @@ func (l LogDistance) Gain(d float64) float64 {
 	if n <= 0 {
 		n = 2
 	}
-	return l.RefGain * math.Pow(d0/d, n)
+	return l.RefGain * pow(d0/d, n)
 }
+
+// pow returns math.Pow(x, y) bit for bit. math.Pow keeps its running
+// product as a mantissa in [0.5, 1) plus a separate binary exponent:
+// x^yf = Exp(yf·Log x) for the fractional part (|yf| <= 0.5), times the
+// squaring chain of x over the bits of the integer part, then one
+// Ldexp. Scaling by a power of two is exact while a value stays
+// normal, so the same multiplications done directly in float64 round
+// identically — provided every intermediate (and the result) is a
+// normal number. pow takes that direct route and falls back to
+// math.Pow for everything else: special operands, y <= 0, y == 0.5
+// (which math.Pow answers with Sqrt), huge integer parts, and any
+// chain that leaves the normal range.
+//
+// Both chains are monotone — the squarings p move away from 1 in x's
+// direction, and every factor multiplied into a lies on the same side
+// of 1 — so a value that leaves the normal range never comes back:
+// checking the last square and the result covers every intermediate.
+func pow(x, y float64) float64 {
+	if !(x >= minNormal && x <= math.MaxFloat64) || x == 1 || !(y > 0 && y < 1<<30) || y == 0.5 {
+		return math.Pow(x, y)
+	}
+	// math.Modf for 0 < y < 2^30: truncation, and an exact difference.
+	yi := float64(int64(y))
+	yf := y - yi
+	a := 1.0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a = math.Exp(yf * math.Log(x))
+	}
+	p := x
+	for i := int64(yi); i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a *= p
+		}
+		if i > 1 {
+			p *= p
+		}
+	}
+	if !(a >= minNormal && a <= math.MaxFloat64 && p >= minNormal && p <= math.MaxFloat64) {
+		return math.Pow(x, y)
+	}
+	return a
+}
+
+// minNormal is the smallest positive normal float64, 2^-1022.
+const minNormal = 0x1p-1022
 
 // FixedGain is a PathLoss that ignores distance; useful in unit tests and
 // calibrated-link experiments.

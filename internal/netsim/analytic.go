@@ -136,6 +136,7 @@ func (e *engine) analyticFrame(w *netWorker, i int32) mac.Result {
 		ci := int64(math.Round(chunkTx))
 		f.chunks[i] += ci
 		f.rateChunks[int(i)*f.nr+ri] += ci
+		w.fv.rateChunks[ri] += ci
 		f.rateLost[int(i)*f.nr+ri] += int64(math.Round(chunkTx * p))
 		f.invMult[i] += chunkTx / mult
 		if int32(ri) != f.prevRate[i] {

@@ -267,6 +267,7 @@ func (c *congState) backoffDelay(w *netWorker, t *tagState, i int) float64 {
 func (c *congState) park(w *netWorker, t *tagState, i, round int) {
 	if c.retxQ[i] >= c.retxCap {
 		t.stats[i].FramesDropped++
+		w.dropped++
 		c.retxDrops[i]++
 		return
 	}
@@ -514,6 +515,7 @@ func (e *engine) dropDeadlines(round int) {
 		if round-int(s.backlogSince[i]) > int(s.deadline) {
 			t.queue[i]--
 			t.stats[i].FramesDropped++
+			e.dropped++
 			if t.queue[i] > 0 {
 				s.backlogSince[i] = int32(round)
 			}

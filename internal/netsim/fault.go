@@ -323,6 +323,7 @@ func (f *faultState) step(e *engine, round int, src *simrand.Source) {
 				}
 				if lost > 0 {
 					t.stats[i].FramesDropped += int(lost)
+					e.dropped += int64(lost)
 				}
 			}
 		}

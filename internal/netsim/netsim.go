@@ -34,11 +34,13 @@
 // expensive randomness (chunk loss, protocol feedback, fading) lives in
 // per-tag streams whose PCG state is stored inline in the tag arrays,
 // so a reader cell executes identically on whichever worker claims it.
-// Per-cell and per-tag-shard results merge in submission order, and the
-// one floating-point accumulator whose value depends on summation order
-// (adaptInvMult) is summed serially in tag order — so NetResult is
-// byte-identical from 1 worker to N, and byte-identical to the
-// pre-sharding array-of-structs engine.
+// Per-cell and per-tag-shard results merge in submission order; the
+// remaining cross-worker reductions are integer counters, whose sums
+// cannot depend on which worker claimed which cell or shard; and the
+// floating-point accumulators whose value depends on summation order
+// (adaptInvMult, the cwnd sum) are summed serially in tag order over
+// their own columns — so NetResult is byte-identical from 1 worker to
+// N, and byte-identical to the pre-sharding array-of-structs engine.
 //
 // Layout: per-tag state is struct-of-arrays (tagState) — parallel
 // slices grouped by access pattern, walked as tight loops over
@@ -47,7 +49,13 @@
 // The per-round hot path is allocation-free at every worker count:
 // worker scratch (protocol instances, slot arrays, stream-loading
 // sources) is allocated once at setup, and the worker pool is
-// persistent across rounds. An opt-in analytic fast path
+// persistent across rounds. No per-tag walk runs serially: stream
+// snapshots merge per-shard, per-worker and per-reader partials, and
+// the end-of-run aggregation merges the drain phase's per-shard totals.
+// The tags×readers gains matrix exists only under TDM, the one schedule
+// that reads a single carrier's gain back. One driver serves every
+// entry point: newEngine builds the engine, step runs a round, finish
+// drains it. An opt-in analytic fast path
 // (Scenario.Analytic) replaces per-chunk simulation with closed-form
 // expected airtime per frame; see analytic.go.
 package netsim
@@ -337,8 +345,12 @@ type roundState struct {
 	alive    []bool
 	harvestW []float64 // effective harvest power settled this round
 	queue    []int32   // frames awaiting delivery after this round
+	reader   []int32   // serving reader after this round
 	stats    []TagStats
 	cong     *congState // live congestion columns (nil when disabled)
+	// rateChunks is the live per-tag rate histogram, row-major
+	// [tag*rates+rate] (nil when rate adaptation is disabled).
+	rateChunks []int64
 }
 
 // roundProbe observes the engine at each round's energy settlement:
@@ -361,7 +373,9 @@ type engine struct {
 	sched   *schedState // reader scheduling policy state (nil under PolicyAloha)
 	flt     *faultState // fault-injection state (nil when disabled)
 	// gains[i*R+r] is the linear power gain from reader r to tag i,
-	// re-derived per epoch under mobility.
+	// re-derived per epoch under mobility. Only TDM settlement reads a
+	// single carrier's gain back, so the matrix exists only under TDM
+	// (nil otherwise).
 	gains []float64
 	// Reader-cell association in CSR form: the tags served by reader r
 	// are tagsByReader[readerOff[r]:readerOff[r+1]], in tag index order.
@@ -400,9 +414,41 @@ type engine struct {
 	curRound  int
 	settleDt  float64
 	settleNow float64
-	// res is set for the drain phase only (LifetimeS needs SimulatedS);
-	// nil during rounds.
-	res *NetResult
+
+	// Per-tag-shard integer partials: tot[s] and the per-reader columns
+	// [s*R+r] are written only by shard s (its settle tally or its drain
+	// body) and merged in shard order on the dispatching goroutine, so
+	// no per-tag walk is left serial.
+	tot         []shardTotals
+	totQDepth   []int64
+	totTimeouts []int64
+	// tally makes the settle phase fill the observation partials; set
+	// when a stream observes the run.
+	tally bool
+	// Run-wide frame counters kept where frames move, so the run's
+	// totals never need a walk over the per-tag stats: offered and
+	// dropped count the serial sites (closed-loop preload, arrivals,
+	// deadline drops, churn flushes), the parallel sites count into
+	// their worker (netWorker.dropped), and delivered frames are the
+	// per-reader FramesDelivered sums. frameTotals adds them up.
+	offered, dropped int64
+
+	// anyQueued is the closed-loop termination flag settle maintains;
+	// res is the result the rounds accumulate into (drainShard reads its
+	// SimulatedS). Both belong to the dispatching goroutine.
+	anyQueued bool
+	res       *NetResult
+}
+
+// shardTotals is one tag shard's integer partial sums: its live tags
+// for a stream's snapshot (settle tally) and its share of the
+// end-of-run aggregates (drain). Padded to two cache lines so adjacent shards on different
+// workers don't false-share.
+type shardTotals struct {
+	alive                               int64
+	rateSwitches, adaptChunks, adaptLag int64
+	timeouts, retx, retxDropped         int64
+	_                                   [9]int64
 }
 
 // Run executes the scenario deterministically under the given seed.
@@ -425,12 +471,12 @@ func ResolveWorkers(n int) int {
 	return n
 }
 
+// run drives one engine through its rounds. Batch Run/RunParallel,
+// streaming (st non-nil) and the test round probe all share this loop;
+// the engine itself is built by newEngine, advanced by step and
+// finalised by finish. The serial streams live here, on the
+// dispatching goroutine, and are lent to the phases that draw them.
 func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) (*NetResult, error) {
-	sc.ApplyDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	workers = ResolveWorkers(workers)
 	// One random tree, split in fixed order; every source below is
 	// always split even when unused (a static run still splits the
 	// mobility source) so the per-tag streams never depend on which
@@ -440,7 +486,64 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 	trafficSrc := root.Split()  //fdlint:serial
 	slotSrc := root.Split()     //fdlint:serial
 	mobilitySrc := root.Split() //fdlint:serial
+	e, err := newEngine(sc, seed, workers, root, placeSrc)
+	if err != nil {
+		return nil, err
+	}
+	defer e.pool.stop()
+	var walk *waypointWalk
+	if e.sc.Mobility.enabled() {
+		walk = newWaypointWalk(e.sc.Tags, e.sc.RadiusM, e.sc.Mobility.StepM, mobilitySrc)
+	}
+	// The fault stream is hashed off the run seed (the fadeSeed
+	// pattern), not split from the tree: enabling faults must not shift
+	// any stream the fault-free engine draws. It stays serial — every
+	// transition happens between rounds on this goroutine.
+	var faultSrc *simrand.Source
+	if e.flt != nil {
+		faultSrc = simrand.New(faultSeed(seed)) //fdlint:serial
+	}
+	if st != nil {
+		st.init(e)
+	}
+	for round := 0; round < e.sc.MaxRounds; round++ {
+		if st != nil {
+			// Streaming runs are cancellable between rounds: a client
+			// disconnect (or service shutdown) aborts here, before any
+			// further work, and the engine tears down cleanly through
+			// the deferred pool stop.
+			if err := st.ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if !e.step(round, trafficSrc, slotSrc, faultSrc, walk, probe) {
+			break
+		}
+		if st != nil {
+			// Observation only: the snapshot reads settled state and
+			// consumes no randomness, so streaming never perturbs the
+			// batch byte-identity contract. A sink error (the client
+			// hung up mid-write) aborts exactly like a cancellation.
+			if err := st.observe(e, round); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return e.finish(), nil
+}
 
+// newEngine applies the scenario's defaults, validates it, and builds
+// one run's engine: reader placement, tag placement from placeSrc, the
+// per-tag root draws from root (whose four serial splits the caller
+// has already taken), the worker pool, per-tag setup and the first
+// link derivation. The caller owns the started pool and releases it
+// with pool.stop.
+func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.Source) (*engine, error) {
+	sc.ApplyDefaults()
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	workers = ResolveWorkers(workers)
 	readers := PlaceReaders(sc.Readers)
 	positions, err := PlaceTags(sc.Topology, sc.Tags, sc.RadiusM, sc.Clusters, sc.ClusterSpreadM, readers, placeSrc)
 	if err != nil {
@@ -471,6 +574,7 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 	}
 
 	R := len(readers)
+	shards := (sc.Tags + tagShardLen - 1) / tagShardLen
 	e := &engine{
 		sc:             sc,
 		pl:             channel.NewLogDistance(sc.FreqHz, sc.PathLossExp),
@@ -478,7 +582,6 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		readers:        readers,
 		rstats:         make([]ReaderStats, R),
 		tags:           newTagState(sc.Tags),
-		gains:          make([]float64, sc.Tags*R),
 		tagsByReader:   make([]int32, sc.Tags),
 		readerOff:      make([]int32, R+1),
 		readerFill:     make([]int32, R),
@@ -494,8 +597,21 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		cellContenders: make([]int32, R),
 		cellAcc:        make([]cellAcc, R),
 		activeReader:   -1,
+		tot:            make([]shardTotals, shards),
+		totQDepth:      make([]int64, shards*R),
+		totTimeouts:    make([]int64, shards*R),
+		res:            &NetResult{Scenario: sc, Seed: seed},
+		// A closed-loop run is done once every live queue drained at the
+		// end of the previous round; the settlement phase maintains the
+		// flag.
+		anyQueued: true,
 	}
-	if !e.tdm {
+	if sc.OfferedLoad == 0 {
+		e.offered = int64(sc.Tags) * int64(sc.FramesPerTag)
+	}
+	if e.tdm {
+		e.gains = make([]float64, sc.Tags*R)
+	} else {
 		e.couplingW = math.Pow(10, -sc.Readers.IsolationdB/10)
 	}
 	for r := range e.rstats {
@@ -524,227 +640,225 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 	if sc.Readers.Policy != PolicyAloha {
 		e.sched = newSchedState(sc.Readers, sc.Tags)
 	}
-	// The fault stream is hashed off the run seed (the fadeSeed
-	// pattern), not split from the tree: enabling faults must not shift
-	// any stream the fault-free engine draws. It stays serial — every
-	// transition happens between rounds on this goroutine.
-	var faultSrc *simrand.Source
 	if sc.Faults.enabled() {
 		e.flt = newFaultState(sc.Faults, sc.Tags, R)
-		faultSrc = simrand.New(faultSeed(seed)) //fdlint:serial
 	}
 	e.pool.start(e, workers)
-	defer e.pool.stop()
 	e.pool.dispatch(phaseInit)
 	e.deriveLinks()
+	return e, nil
+}
 
-	var walk *waypointWalk
-	if sc.Mobility.enabled() {
-		walk = newWaypointWalk(sc.Tags, sc.RadiusM, sc.Mobility.StepM, mobilitySrc)
+// step executes the 0-based round and reports whether it ran: a
+// closed-loop run whose live queues all drained at the end of the
+// previous round stops before opening another window. The serial
+// streams draw arrivals, slots and fault transitions (faults is nil
+// without fault injection), walk moves tags each epoch (nil when
+// static), and probe, when non-nil, observes the settled round before
+// the per-round transmit accumulators reset.
+func (e *engine) step(round int, traffic, slots, faults *simrand.Source, walk *waypointWalk, probe roundProbe) bool {
+	sc := &e.sc
+	t := &e.tags
+	res := e.res
+	if sc.OfferedLoad == 0 && !e.anyQueued {
+		// Check before counting the round so Rounds reports only
+		// rounds that actually opened a window.
+		return false
 	}
-
-	res := &NetResult{Scenario: sc, Seed: seed}
+	res.Rounds = round + 1
+	e.curRound = round
 	epochLen := sc.Mobility.EpochRounds
-	// A closed-loop run is done once every live queue drained at the end
-	// of the previous round; the settlement phase maintains the flag.
-	anyQueued := true
-	if st != nil {
-		st.init(e)
+	if round%epochLen == 0 {
+		if walk != nil && round > 0 {
+			walk.advance(t.pos)
+			e.deriveLinks()
+		}
+		if e.tdm {
+			e.activeReader = (round / epochLen) % len(e.readers)
+		}
+	}
+	if e.flt != nil {
+		// Fault transitions happen serially before the round opens:
+		// recoveries and outages may re-derive links (tags
+		// re-associate to the strongest surviving carrier), churned
+		// tags flush their backlog, and the per-cell interference
+		// view refreshes.
+		e.flt.step(e, round, faults)
+	}
+	e.buildActiveCells()
+
+	// Open-loop arrivals. Policy: the Poisson draw happens for every
+	// tag, dead or alive, so one tag's death never shifts the arrival
+	// stream the others see; a dead tag's frames are simply not
+	// offered — it can neither queue nor deliver them, and counting
+	// them would deflate DeliveryRate with traffic that never existed
+	// for the MAC.
+	if sc.OfferedLoad > 0 {
+		for i := 0; i < sc.Tags; i++ {
+			k := traffic.Poisson(sc.OfferedLoad)
+			if !t.alive[i] {
+				continue
+			}
+			if e.flt != nil && e.flt.dormant[i] {
+				// A churned-away tag generates no traffic while gone
+				// (the draw above still happened, so its return never
+				// shifts the arrival stream the others see).
+				continue
+			}
+			t.stats[i].FramesOffered += k
+			e.offered += int64(k)
+			free := int32(sc.QueueCap) - t.queue[i]
+			if free < 0 {
+				// A retx re-admission can push the queue one past the
+				// cap transiently; never let arrivals "fill" a
+				// negative gap.
+				free = 0
+			}
+			if int32(k) > free {
+				t.stats[i].FramesDropped += k - int(free)
+				e.dropped += int64(k) - int64(free)
+				k = int(free)
+			}
+			if s := e.sched; s != nil && t.queue[i] == 0 && k > 0 {
+				s.backlogSince[i] = int32(round)
+			}
+			t.queue[i] += int32(k)
+		}
 	}
 
-	for round := 0; round < sc.MaxRounds; round++ {
-		if st != nil {
-			// Streaming runs are cancellable between rounds: a client
-			// disconnect (or service shutdown) aborts here, before any
-			// further work, and the engine tears down cleanly through
-			// the deferred pool stop.
-			if err := st.ctx.Err(); err != nil {
-				return nil, err
+	if e.sched != nil && e.sched.policy == PolicyDeadline {
+		e.dropDeadlines(round)
+	}
+	if e.cong != nil {
+		// Congestion pass (parallel over tag shards): RTO expiry,
+		// retx re-admission, and the pacing gate set each tag's
+		// contention eligibility for this round.
+		e.pool.dispatch(phaseCong)
+	}
+
+	// Phase A (serial): slot draws, cell by cell in reader order —
+	// exactly the stream order the serial engine consumed, since
+	// window execution never touches slotSrc.
+	e.drawSlots(slots)
+
+	// Phase B (parallel): one contention window per active cell.
+	// Independent channels run concurrently, so the wall clock
+	// advances by the longest window; under TDM only one reader
+	// transmits. Cells shard across workers; each cell touches only
+	// its own tags and per-cell accumulator.
+	e.pool.dispatch(phaseWindows)
+	var roundBytes int64
+	for ci := range e.activeCells {
+		acc := &e.cellAcc[ci]
+		if acc.windowBytes > roundBytes {
+			roundBytes = acc.windowBytes
+		}
+		res.IdleSlots += acc.idleSlots
+		res.SingletonSlots += acc.singletonSlots
+		res.CollisionSlots += acc.collisionSlots
+		res.CollisionBytes += acc.collisionBytes
+		res.GoodputBytes += acc.goodputBytes
+		// Hotspot bookkeeping (serial, cell order): a cell whose
+		// window occupancy first crosses satOnsetFrac marks its
+		// saturation onset; the first later round back at or below
+		// satRecoveryFrac marks recovery.
+		rs := &e.rstats[e.activeCells[ci]]
+		occ := float64(acc.singletonSlots+acc.collisionSlots) / float64(sc.ContentionWindow)
+		switch {
+		case rs.SaturationOnset == 0:
+			if occ >= satOnsetFrac {
+				rs.SaturationOnset = round + 1
 			}
-		}
-		if sc.OfferedLoad == 0 && !anyQueued {
-			// Check before counting the round so Rounds reports only
-			// rounds that actually opened a window.
-			break
-		}
-		res.Rounds = round + 1
-		e.curRound = round
-		if round%epochLen == 0 {
-			if walk != nil && round > 0 {
-				walk.advance(t.pos)
-				e.deriveLinks()
-			}
-			if e.tdm {
-				e.activeReader = (round / epochLen) % R
-			}
-		}
-		if e.flt != nil {
-			// Fault transitions happen serially before the round opens:
-			// recoveries and outages may re-derive links (tags
-			// re-associate to the strongest surviving carrier), churned
-			// tags flush their backlog, and the per-cell interference
-			// view refreshes.
-			e.flt.step(e, round, faultSrc)
-		}
-		e.buildActiveCells()
-
-		// Open-loop arrivals. Policy: the Poisson draw happens for every
-		// tag, dead or alive, so one tag's death never shifts the arrival
-		// stream the others see; a dead tag's frames are simply not
-		// offered — it can neither queue nor deliver them, and counting
-		// them would deflate DeliveryRate with traffic that never existed
-		// for the MAC.
-		if sc.OfferedLoad > 0 {
-			for i := 0; i < sc.Tags; i++ {
-				k := trafficSrc.Poisson(sc.OfferedLoad)
-				if !t.alive[i] {
-					continue
-				}
-				if e.flt != nil && e.flt.dormant[i] {
-					// A churned-away tag generates no traffic while gone
-					// (the draw above still happened, so its return never
-					// shifts the arrival stream the others see).
-					continue
-				}
-				t.stats[i].FramesOffered += k
-				free := int32(sc.QueueCap) - t.queue[i]
-				if free < 0 {
-					// A retx re-admission can push the queue one past the
-					// cap transiently; never let arrivals "fill" a
-					// negative gap.
-					free = 0
-				}
-				if int32(k) > free {
-					t.stats[i].FramesDropped += k - int(free)
-					k = int(free)
-				}
-				if s := e.sched; s != nil && t.queue[i] == 0 && k > 0 {
-					s.backlogSince[i] = int32(round)
-				}
-				t.queue[i] += int32(k)
-			}
-		}
-
-		if e.sched != nil && e.sched.policy == PolicyDeadline {
-			e.dropDeadlines(round)
-		}
-		if e.cong != nil {
-			// Congestion pass (parallel over tag shards): RTO expiry,
-			// retx re-admission, and the pacing gate set each tag's
-			// contention eligibility for this round.
-			e.pool.dispatch(phaseCong)
-		}
-
-		// Phase A (serial): slot draws, cell by cell in reader order —
-		// exactly the stream order the serial engine consumed, since
-		// window execution never touches slotSrc.
-		e.drawSlots(slotSrc)
-
-		// Phase B (parallel): one contention window per active cell.
-		// Independent channels run concurrently, so the wall clock
-		// advances by the longest window; under TDM only one reader
-		// transmits. Cells shard across workers; each cell touches only
-		// its own tags and per-cell accumulator.
-		e.pool.dispatch(phaseWindows)
-		var roundBytes int64
-		for ci := range e.activeCells {
-			acc := &e.cellAcc[ci]
-			if acc.windowBytes > roundBytes {
-				roundBytes = acc.windowBytes
-			}
-			res.IdleSlots += acc.idleSlots
-			res.SingletonSlots += acc.singletonSlots
-			res.CollisionSlots += acc.collisionSlots
-			res.CollisionBytes += acc.collisionBytes
-			res.GoodputBytes += acc.goodputBytes
-			// Hotspot bookkeeping (serial, cell order): a cell whose
-			// window occupancy first crosses satOnsetFrac marks its
-			// saturation onset; the first later round back at or below
-			// satRecoveryFrac marks recovery.
-			rs := &e.rstats[e.activeCells[ci]]
-			occ := float64(acc.singletonSlots+acc.collisionSlots) / float64(sc.ContentionWindow)
-			switch {
-			case rs.SaturationOnset == 0:
-				if occ >= satOnsetFrac {
-					rs.SaturationOnset = round + 1
-				}
-			case rs.RecoveryRound == 0:
-				if occ <= satRecoveryFrac {
-					rs.RecoveryRound = round + 1
-				}
-			}
-		}
-
-		// Phase C (parallel): settle every tag's energy budget over the
-		// round in one step — the idle draw plus, for transmitters, the
-		// per-frame transmit energy spread over the round, harvesting the
-		// incident carriers reduced by the rho/2 Manchester-duty
-		// reflection loss during their transmit time. Under TDM a tag
-		// harvests only the single active carrier from wherever it
-		// stands; under independent scheduling every carrier contributes.
-		res.ElapsedBytes += roundBytes
-		e.settleDt = float64(roundBytes) * e.secondsPerByte
-		e.settleNow = float64(res.ElapsedBytes) * e.secondsPerByte
-		e.pool.anyQueued.Store(false)
-		e.pool.dispatch(phaseSettle)
-		anyQueued = e.pool.anyQueued.Load()
-
-		if probe != nil {
-			probe(round, e.settleDt, roundState{
-				txCount: t.txCount, txDt: t.txDt, alive: t.alive, harvestW: e.harvest,
-				queue: t.queue, stats: t.stats, cong: e.cong,
-			})
-		}
-		clear(t.txCount)
-		clear(t.txDt)
-
-		if st != nil {
-			// Observation only: the snapshot reads settled state and
-			// consumes no randomness, so streaming never perturbs the
-			// batch byte-identity contract. A sink error (the client
-			// hung up mid-write) aborts exactly like a cancellation.
-			if err := st.observe(e, res, round); err != nil {
-				return nil, err
+		case rs.RecoveryRound == 0:
+			if occ <= satRecoveryFrac {
+				rs.RecoveryRound = round + 1
 			}
 		}
 	}
 
+	// Phase C (parallel): settle every tag's energy budget over the
+	// round in one step — the idle draw plus, for transmitters, the
+	// per-frame transmit energy spread over the round, harvesting the
+	// incident carriers reduced by the rho/2 Manchester-duty
+	// reflection loss during their transmit time. Under TDM a tag
+	// harvests only the single active carrier from wherever it
+	// stands; under independent scheduling every carrier contributes.
+	res.ElapsedBytes += roundBytes
+	e.settleDt = float64(roundBytes) * e.secondsPerByte
+	e.settleNow = float64(res.ElapsedBytes) * e.secondsPerByte
+	e.pool.anyQueued.Store(false)
+	e.pool.dispatch(phaseSettle)
+	e.anyQueued = e.pool.anyQueued.Load()
+
+	if probe != nil {
+		st := roundState{
+			txCount: t.txCount, txDt: t.txDt, alive: t.alive, harvestW: e.harvest,
+			queue: t.queue, reader: t.reader, stats: t.stats, cong: e.cong,
+		}
+		if e.fade != nil {
+			st.rateChunks = e.fade.rateChunks
+		}
+		probe(round, e.settleDt, st)
+	}
+	clear(t.txCount)
+	clear(t.txDt)
+	return true
+}
+
+// frameTotals returns the run's cumulative offered, delivered and
+// dropped frames from the counters kept where frames move.
+//
+//fdlint:noalloc
+func (e *engine) frameTotals() (offered, delivered, dropped int64) {
+	offered, dropped = e.offered, e.dropped
+	for _, w := range e.pool.workers {
+		dropped += w.dropped
+	}
+	for r := range e.rstats {
+		delivered += int64(e.rstats[r].FramesDelivered)
+	}
+	return offered, delivered, dropped
+}
+
+// finish runs the drain phase and aggregates the result. The engine is
+// discarded after the run, so the result owns the stats array without
+// a copy.
+func (e *engine) finish() *NetResult {
+	res := e.res
 	res.SimulatedS = float64(res.ElapsedBytes) * e.secondsPerByte
 	// Drain phase (parallel): per-tag finalisation writes stats in
-	// place; the engine is discarded after the run, so the result owns
-	// the stats array without a copy.
-	e.res = res
+	// place and leaves each shard's integer sums in its partial.
 	e.pool.dispatch(phaseDrain)
-	res.Tags = t.stats
-	// Scalar aggregation stays serial in tag order: the integer sums are
-	// order-independent but adaptInvMult is a float accumulation whose
-	// value depends on order — it must match the serial engine exactly.
-	for i := 0; i < sc.Tags; i++ {
-		ts := &t.stats[i]
-		if e.fade != nil {
-			f := e.fade
-			res.RateSwitches += f.switches[i]
-			res.AdaptChunks += f.chunks[i]
-			res.AdaptLagChunks += f.lag[i]
-			res.adaptInvMult += f.invMult[i]
-		}
-		if c := e.cong; c != nil {
-			res.Timeouts += int64(c.timeouts[i])
-			res.Retransmissions += int64(c.retxCount[i])
-			res.RetxDropped += int64(c.retxDrops[i])
-			res.cwndSum += c.cwnd[i]
-		}
-		res.FramesOffered += int64(ts.FramesOffered)
-		res.FramesDelivered += int64(ts.FramesDelivered)
-		res.FramesDropped += int64(ts.FramesDropped)
+	res.Tags = e.tags.stats
+	res.FramesOffered, res.FramesDelivered, res.FramesDropped = e.frameTotals()
+	R := len(e.readers)
+	for s := range e.tot {
+		p := &e.tot[s]
+		res.RateSwitches += p.rateSwitches
+		res.AdaptChunks += p.adaptChunks
+		res.AdaptLagChunks += p.adaptLag
+		res.Timeouts += p.timeouts
+		res.Retransmissions += p.retx
+		res.RetxDropped += p.retxDropped
 		// Per-reader drain by final association: residual queue depth
 		// (the backlog the run left stranded) and the congestion
 		// timeouts the reader's cell inflicted.
-		rs := &e.rstats[t.reader[i]]
-		rs.QueueDepth += int64(t.queue[i])
-		if c := e.cong; c != nil {
-			rs.QueueDepth += int64(c.retxQ[i])
-			rs.Timeouts += int64(c.timeouts[i])
+		for r := range e.rstats {
+			e.rstats[r].QueueDepth += e.totQDepth[s*R+r]
+			e.rstats[r].Timeouts += e.totTimeouts[s*R+r]
+		}
+	}
+	// The float accumulators depend on summation order: each stays a
+	// serial sum over its own column in tag order, exactly the serial
+	// engine's value.
+	if f := e.fade; f != nil {
+		for _, v := range f.invMult {
+			res.adaptInvMult += v
+		}
+	}
+	if c := e.cong; c != nil {
+		for _, v := range c.cwnd {
+			res.cwndSum += v
 		}
 	}
 	for r := range e.rstats {
@@ -755,7 +869,7 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		}
 		res.Readers = append(res.Readers, e.rstats[r])
 	}
-	return res, nil
+	return res
 }
 
 // Hotspot thresholds: a reader cell is saturated when its window
@@ -940,7 +1054,9 @@ func (e *engine) deriveShard(lo, hi int) {
 		px, py := t.pos[i].X, t.pos[i].Y
 		for r := 0; r < R; r++ {
 			g := e.pl.Gain(math.Hypot(px-e.readers[r].X, py-e.readers[r].Y))
-			e.gains[base+r] = g
+			if e.tdm {
+				e.gains[base+r] = g
+			}
 			if downMask != nil && downMask[r] {
 				continue
 			}
@@ -1036,19 +1152,66 @@ func (e *engine) settleShard(lo, hi int) {
 	if queued {
 		e.pool.anyQueued.Store(true)
 	}
+	if e.tally {
+		e.tallyShard(lo, hi)
+	}
+}
+
+// tallyShard fills the observation partial of the shard starting at lo
+// for the round that just settled: live tags and per-reader backlog
+// (queued plus retx-parked frames, by current association). It reads
+// only compact columns settle has just walked; a stream's snapshot
+// then merges one partial per shard instead of walking every tag
+// serially.
+//
+//fdlint:parallel
+//fdlint:noalloc
+func (e *engine) tallyShard(lo, hi int) {
+	t := &e.tags
+	s := lo / tagShardLen
+	R := len(e.readers)
+	alive := int64(0)
+	qd := e.totQDepth[s*R : (s+1)*R]
+	clear(qd)
+	for i := lo; i < hi; i++ {
+		if t.alive[i] {
+			alive++
+		}
+		q := int64(t.queue[i])
+		if e.cong != nil {
+			q += int64(e.cong.retxQ[i])
+		}
+		qd[t.reader[i]] += q
+	}
+	e.tot[s].alive = alive
 }
 
 // drainShard is the parallel body of the end-of-run finalisation for
-// tags [lo, hi): adaptation stats, outage, lifetime.
+// tags [lo, hi): adaptation stats, outage, lifetime, and the shard's
+// integer partials of the adaptation and congestion totals and the
+// per-reader drain counters.
 //
 //fdlint:parallel
 //fdlint:noalloc
 func (e *engine) drainShard(lo, hi int) {
 	t := &e.tags
 	sim := e.res.SimulatedS
+	s := lo / tagShardLen
+	R := len(e.readers)
+	p := &e.tot[s]
+	*p = shardTotals{}
+	qd := e.totQDepth[s*R : (s+1)*R]
+	to := e.totTimeouts[s*R : (s+1)*R]
+	clear(qd)
+	clear(to)
 	for i := lo; i < hi; i++ {
 		ts := &t.stats[i]
+		r := t.reader[i]
+		qd[r] += int64(t.queue[i])
 		if f := e.fade; f != nil {
+			p.rateSwitches += f.switches[i]
+			p.adaptChunks += f.chunks[i]
+			p.adaptLag += f.lag[i]
 			nr := f.nr
 			ts.RateChunks = f.rateChunks[i*nr : (i+1)*nr : (i+1)*nr]
 			ts.RateLostChunks = f.rateLost[i*nr : (i+1)*nr : (i+1)*nr]
@@ -1060,6 +1223,11 @@ func (e *engine) drainShard(lo, hi int) {
 			}
 		}
 		if c := e.cong; c != nil {
+			p.timeouts += int64(c.timeouts[i])
+			p.retx += int64(c.retxCount[i])
+			p.retxDropped += int64(c.retxDrops[i])
+			qd[r] += int64(c.retxQ[i])
+			to[r] += int64(c.timeouts[i])
 			ts.Timeouts = int(c.timeouts[i])
 			ts.Retransmissions = int(c.retxCount[i])
 			ts.RetxDropped = int(c.retxDrops[i])
@@ -1265,6 +1433,7 @@ func (e *engine) serveSlot(w *netWorker, acc *cellAcc, rs *ReaderStats, i int32)
 			t.queue[i]++
 		} else {
 			t.stats[i].FramesDropped++
+			w.dropped++
 		}
 	}
 	if s := e.sched; s != nil && t.queue[i] > 0 {

@@ -82,6 +82,11 @@ type netWorker struct {
 	// Slot histogram scratch for runWindowCell.
 	slotCount  []int32
 	slotWinner []int32
+	// dropped counts the frames this worker's cells and shards dropped
+	// over the run (re-queue and retx-queue overflow). Integer sums
+	// commute, so the run total is the same whichever worker claimed
+	// which cell or shard.
+	dropped int64
 	// Grant-list scratch for runPolicyCell (nil under PolicyAloha):
 	// the top-ContentionWindow contenders by policy metric.
 	grantIdx    []int32

@@ -328,6 +328,11 @@ type fadeView struct {
 	// composed into every chunk's loss probability.
 	extraP float64
 
+	// rateChunks[k] counts the chunks this worker transmitted at rate k
+	// over the run — the per-worker partial of the population's rate
+	// histogram that a stream's snapshot sums.
+	rateChunks []int64
+
 	// Per-frame scratch, reset by beginFrame and read by the engine
 	// right after each MAC exchange.
 	frameChunks  int64
@@ -344,6 +349,7 @@ func (v *fadeView) init(e *engine, iid *mac.IIDLoss) {
 	v.fadeSrc = simrand.New(0) //fdlint:stream-ok scratch; Reseed(fadeSeed(seed, i)) re-roots it per tag before use
 	v.rates = e.fade.rates
 	v.rho = e.fade.rho
+	v.rateChunks = make([]int64, e.fade.nr)
 }
 
 // bind loads tag i's row into the view's scratch.
@@ -407,6 +413,7 @@ func (v *fadeView) Chunk() bool {
 	f.chunks[i]++
 	f.invMult[i] += 1 / r.Mult
 	f.rateChunks[i*f.nr+ri]++
+	v.rateChunks[ri]++
 	if lostChunk {
 		f.rateLost[i*f.nr+ri]++
 		v.frameLost++

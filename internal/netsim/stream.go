@@ -150,12 +150,15 @@ type streamer struct {
 	qdepth        []int64
 }
 
-// init sizes the reused buffers once the engine geometry is known.
+// init sizes the reused buffers once the engine geometry is known and
+// switches on the engine's settle-phase tally, whose per-shard
+// partials observe merges.
 func (st *streamer) init(e *engine) {
 	R := len(e.rstats)
 	st.snap.Readers = make([]ReaderRound, R)
 	st.prevReaders = make([]ReaderStats, R)
 	st.qdepth = make([]int64, R)
+	e.tally = true
 	if e.fade != nil {
 		nr := e.fade.nr
 		st.prevRate = make([]int64, nr)
@@ -165,41 +168,43 @@ func (st *streamer) init(e *engine) {
 }
 
 // observe fills the snapshot for the round that just settled and hands
-// it to the sink (unless the round predates a resume cursor). Deltas
-// are tracked every round regardless of emission, so a resumed stream's
-// first snapshot carries the same deltas the uninterrupted stream's
-// did. Runs once per settled round inside the same round loop the
-// TestRoundLoopAllocFree family budgets, so it must stay
-// allocation-free: the snapshot struct and its slices are sized once in
-// init and reused for every round.
+// it to the sink (unless the round predates a resume cursor). Nothing
+// here walks the tags: frame totals come from the engine's counters
+// (frameTotals), the rate histogram from the per-worker rows, and live
+// tags and backlog from the settle phase's per-shard partials
+// (tallyShard), merged in shard order. Deltas are tracked every round
+// regardless of emission, so a resumed stream's first snapshot carries
+// the same deltas the uninterrupted stream's did. Runs once per settled
+// round inside the same round loop the TestRoundLoopAllocFree family
+// budgets, so it must stay allocation-free: the snapshot struct and its
+// slices are sized once in init and reused for every round.
 //
 //fdlint:noalloc
-func (st *streamer) observe(e *engine, res *NetResult, round int) error {
+func (st *streamer) observe(e *engine, round int) error {
 	s := &st.snap
-	t := &e.tags
+	res := e.res
 	s.Round = round + 1
 
-	var offered, delivered, dropped int64
-	alive := 0
+	offered, delivered, dropped := e.frameTotals()
+	clear(st.curRate)
+	for _, w := range e.pool.workers {
+		for k, c := range w.fv.rateChunks {
+			st.curRate[k] += c
+		}
+	}
+	var alive int64
 	clear(st.qdepth)
-	for i := range t.stats {
-		ts := &t.stats[i]
-		offered += int64(ts.FramesOffered)
-		delivered += int64(ts.FramesDelivered)
-		dropped += int64(ts.FramesDropped)
-		if t.alive[i] {
-			alive++
+	R := len(st.qdepth)
+	for sh := range e.tot {
+		alive += e.tot[sh].alive
+		for r, q := range e.totQDepth[sh*R : (sh+1)*R] {
+			st.qdepth[r] += q
 		}
-		q := int64(t.queue[i])
-		if e.cong != nil {
-			q += int64(e.cong.retxQ[i])
-		}
-		st.qdepth[t.reader[i]] += q
 	}
 	s.FramesOffered, s.FramesDelivered, s.FramesDropped = offered, delivered, dropped
 	s.DeliveredDelta = delivered - st.prevDelivered
 	st.prevDelivered = delivered
-	s.AliveTags = alive
+	s.AliveTags = int(alive)
 	s.Delivery = 0
 	if offered > 0 {
 		s.Delivery = float64(delivered) / float64(offered)
@@ -234,19 +239,9 @@ func (st *streamer) observe(e *engine, res *NetResult, round int) error {
 		*prev = *cur
 	}
 
-	if f := e.fade; f != nil {
-		nr := f.nr
-		clear(st.curRate)
-		for i := 0; i < t.len(); i++ {
-			row := f.rateChunks[i*nr : (i+1)*nr]
-			for k, c := range row {
-				st.curRate[k] += c
-			}
-		}
-		for k := range st.curRate {
-			s.RateChunksDelta[k] = st.curRate[k] - st.prevRate[k]
-			st.prevRate[k] = st.curRate[k]
-		}
+	for k := range st.curRate {
+		s.RateChunksDelta[k] = st.curRate[k] - st.prevRate[k]
+		st.prevRate[k] = st.curRate[k]
 	}
 
 	if s.Round < st.start {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -76,22 +77,160 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// streamShardCases are the inputs that exercise the observation
+// partials across shard boundaries: the million preset scaled to three
+// full tag shards plus a ragged one (so cross-shard merges and a
+// partial last shard both run), its TDM variant (the one schedule that
+// builds the gains matrix), and a preset with faults and congestion
+// control (churn flushes, outaged readers, retx-parked backlog).
+func streamShardCases(t *testing.T) []Scenario {
+	t.Helper()
+	million, err := Preset("million")
+	if err != nil {
+		t.Fatal(err)
+	}
+	million.Tags = 3*tagShardLen + 17
+	tdm := million
+	tdm.Name = "million-tdm"
+	tdm.Readers.Scheduling = SchedulingTDM
+	outage, err := Preset("outage-retail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Scenario{million, tdm, outage}
+}
+
 // TestRunStreamWorkerCountIdentical: the emitted snapshot bytes are
 // identical at any worker count — the streaming face of the engine's
 // sharding contract.
 func TestRunStreamWorkerCountIdentical(t *testing.T) {
-	sc, err := Preset("fading-aisle")
+	aisle, err := Preset("fading-aisle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, _ := collectStream(t, sc, 3, StreamOptions{Workers: 1})
-	eight, _ := collectStream(t, sc, 3, StreamOptions{Workers: 8})
-	if len(one) != len(eight) {
-		t.Fatalf("snapshot count differs: %d vs %d", len(one), len(eight))
+	for _, sc := range append(streamShardCases(t), aisle) {
+		t.Run(sc.Name, func(t *testing.T) {
+			one, _ := collectStream(t, sc, 3, StreamOptions{Workers: 1})
+			for _, workers := range []int{2, 8} {
+				many, _ := collectStream(t, sc, 3, StreamOptions{Workers: workers})
+				if len(one) != len(many) {
+					t.Fatalf("snapshot count differs: %d at 1 worker, %d at %d", len(one), len(many), workers)
+				}
+				for i := range one {
+					if string(one[i]) != string(many[i]) {
+						t.Fatalf("round %d snapshot differs between 1 and %d workers:\n%s\n%s", i+1, workers, one[i], many[i])
+					}
+				}
+			}
+		})
 	}
-	for i := range one {
-		if string(one[i]) != string(eight[i]) {
-			t.Fatalf("round %d snapshot differs between 1 and 8 workers:\n%s\n%s", i+1, one[i], eight[i])
+}
+
+// streamRecount is the reference the snapshot counters are checked
+// against: a direct walk over every tag's live state.
+type streamRecount struct {
+	offered, delivered, dropped int64
+	alive                       int
+	qdepth                      []int64
+	rate                        []int64 // cumulative per-rate chunks
+}
+
+func recountTags(st roundState, readers int) streamRecount {
+	rc := streamRecount{qdepth: make([]int64, readers)}
+	for i := range st.stats {
+		ts := &st.stats[i]
+		rc.offered += int64(ts.FramesOffered)
+		rc.delivered += int64(ts.FramesDelivered)
+		rc.dropped += int64(ts.FramesDropped)
+		if st.alive[i] {
+			rc.alive++
+		}
+		q := int64(st.queue[i])
+		if st.cong != nil {
+			q += int64(st.cong.retxQ[i])
+		}
+		rc.qdepth[st.reader[i]] += q
+	}
+	if st.rateChunks != nil {
+		nr := len(st.rateChunks) / len(st.stats)
+		rc.rate = make([]int64, nr)
+		for i, c := range st.rateChunks {
+			rc.rate[i%nr] += c
+		}
+	}
+	return rc
+}
+
+// TestRunStreamSnapshotsMatchRecount: every round's snapshot totals —
+// frame counters, live tags, per-reader backlog and the cumulative
+// rate histogram — equal a direct per-tag recount of the settled
+// state, at every worker count. The engine assembles them from
+// per-shard, per-worker and per-reader partials; the recount is the
+// serial walk those partials replaced.
+func TestRunStreamSnapshotsMatchRecount(t *testing.T) {
+	// Beyond the shard cases: deadline drops (a tight deadline behind a
+	// narrow window), arrival overflow, and the analytic engine's rate
+	// accounting.
+	dock, err := Preset("congested-dock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dock.Readers.Policy = PolicyDeadline
+	dock.Readers.DeadlineRounds = 2
+	dock.ContentionWindow = 4
+	flood, err := Preset("warehouse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood.OfferedLoad = 2
+	cases := streamShardCases(t)
+	analytic := cases[0]
+	analytic.Analytic = true
+	for _, sc := range append(cases, dock, flood, analytic) {
+		for _, workers := range []int{1, 2, 8} {
+			// The probe fires after settlement, just before the snapshot
+			// of the same round is taken; the sink recounts from the
+			// live columns it saw.
+			var live roundState
+			probe := func(round int, dt float64, st roundState) { live = st }
+			var rate []int64
+			rounds := 0
+			sink := func(s *RoundSnapshot) error {
+				rounds++
+				want := recountTags(live, len(s.Readers))
+				if s.FramesOffered != want.offered || s.FramesDelivered != want.delivered ||
+					s.FramesDropped != want.dropped || s.AliveTags != want.alive {
+					return fmt.Errorf("round %d: snapshot offered/delivered/dropped/alive %d/%d/%d/%d, recount %d/%d/%d/%d",
+						s.Round, s.FramesOffered, s.FramesDelivered, s.FramesDropped, s.AliveTags,
+						want.offered, want.delivered, want.dropped, want.alive)
+				}
+				for r, rr := range s.Readers {
+					if rr.QueueDepth != want.qdepth[r] {
+						return fmt.Errorf("round %d reader %d: queue depth %d, recount %d", s.Round, r, rr.QueueDepth, want.qdepth[r])
+					}
+				}
+				if len(s.RateChunksDelta) != len(want.rate) {
+					return fmt.Errorf("round %d: %d rate deltas, recount has %d rates", s.Round, len(s.RateChunksDelta), len(want.rate))
+				}
+				if rate == nil {
+					rate = make([]int64, len(want.rate))
+				}
+				for k, d := range s.RateChunksDelta {
+					rate[k] += d
+					if rate[k] != want.rate[k] {
+						return fmt.Errorf("round %d rate %d: deltas sum to %d, recount %d", s.Round, k, rate[k], want.rate[k])
+					}
+				}
+				return nil
+			}
+			st := &streamer{ctx: context.Background(), sink: sink}
+			res, err := run(sc, 3, workers, probe, st)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", sc.Name, workers, err)
+			}
+			if rounds != res.Rounds || rounds == 0 {
+				t.Fatalf("%s at %d workers: %d snapshots for %d rounds", sc.Name, workers, rounds, res.Rounds)
+			}
 		}
 	}
 }

@@ -308,6 +308,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// A stream's last round line mints round MaxRounds+1 (an empty
+	// tail); anything beyond was never served, and replaying it would
+	// hold an engine slot for the whole run to emit nothing.
+	if startRound > sc.MaxRounds+1 {
+		jsonError(w, http.StatusBadRequest,
+			"bad resume token: round %d beyond the scenario's %d rounds", startRound, sc.MaxRounds)
+		return
+	}
 	if sc.Tags > s.cfg.MaxTags {
 		jsonError(w, http.StatusRequestEntityTooLarge,
 			"scenario asks for %d tags; this server caps requests at %d", sc.Tags, s.cfg.MaxTags)

@@ -296,6 +296,65 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResumeRoundBounded: the last round line's token resumes to an
+// empty tail (the result line alone), while a crafted token whose round
+// lies past what any stream mints is a 400, not a full-run replay that
+// emits nothing while holding an engine slot.
+func TestResumeRoundBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(query string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/runs?"+query, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	code, full := post("preset=warehouse&seed=9")
+	if code != http.StatusOK {
+		t.Fatalf("full run: status %d", code)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
+	if len(lines) < 2 {
+		t.Fatalf("run too short: %d lines", len(lines))
+	}
+	var last struct {
+		Resume string `json:"resume"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-2], &last); err != nil || last.Resume == "" {
+		t.Fatalf("no resume token on the last round line: %v", err)
+	}
+	code, tail := post("resume=" + last.Resume)
+	if want := append(append([]byte(nil), lines[len(lines)-1]...), '\n'); code != http.StatusOK || !bytes.Equal(tail, want) {
+		t.Fatalf("last-line resume: status %d, body %q; want 200 and the result line alone", code, tail)
+	}
+
+	orig, err := netsim.Preset("warehouse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := orig
+	sc.ApplyDefaults()
+	for _, tc := range []struct {
+		round int
+		want  int
+	}{
+		{sc.MaxRounds + 1, http.StatusOK},
+		{sc.MaxRounds + 2, http.StatusBadRequest},
+		{1 << 40, http.StatusBadRequest},
+	} {
+		tok := encodeResumeToken(resumeToken{V: resumeTokenVersion, Scenario: orig, Seed: 9, Round: tc.round})
+		if code, body := post("resume=" + tok); code != tc.want {
+			t.Errorf("token round %d: status %d (%s), want %d", tc.round, code, body, tc.want)
+		}
+	}
+}
+
 // TestSSEFraming: ?format=sse switches the stream to server-sent
 // events with the same JSON payloads.
 func TestSSEFraming(t *testing.T) {
