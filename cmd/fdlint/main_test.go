@@ -105,7 +105,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("exit = %d, want %d", code, exitClean)
 	}
 	for _, name := range []string{"noalloc", "orderedrange", "purestream", "sharded",
-		"shardwrite", "streamtree", "validatecover"} {
+		"validatecover"} {
 		if !strings.Contains(out.String(), name) {
 			t.Fatalf("-list missing %s: %q", name, out.String())
 		}

@@ -3,21 +3,20 @@
 // at the source level, complementing the runtime gates (byte-identical
 // determinism tests, AllocsPerRun tests, the CI perf gate).
 //
-//   - purestream: engine packages draw randomness only from seeded
-//     simrand sources — no math/rand, wall clocks, or environment.
+//   - purestream: engine packages are pure functions of
+//     (Scenario, seed) — no math/rand, wall clocks, or environment —
+//     and every *simrand.Source is provably seeded from the run seed
+//     via the blessed split/hash constructors, never from a literal or
+//     ambient state, and never aliased across loop elements.
 //   - orderedrange: map iteration order never reaches an output sink
 //     unsorted.
 //   - noalloc: functions annotated //fdlint:noalloc avoid allocating
 //     constructs.
-//   - sharded: netsim parallel sections touch only parameter-rooted
-//     RNG state; goroutines only in the worker pool; serial-only
-//     streams stay serial.
-//   - streamtree: every *simrand.Source is provably seeded from the
-//     run seed via the blessed split/hash constructors; no literal,
-//     wall-clock, or ambient seeds; no loop element stream aliasing.
-//   - shardwrite: //fdlint:parallel shard bodies write struct-of-arrays
-//     columns only at indices derived from the shard's own range
-//     parameters.
+//   - sharded: //fdlint:parallel bodies are channel-free, touch only
+//     parameter-rooted RNG state, and write struct-of-arrays columns
+//     only at indices derived from the shard's own range parameters;
+//     serial-only streams stay serial; in netsim, goroutines exist
+//     only in the worker pool.
 //   - validatecover: every JSON-tagged scenario field is read by
 //     Validate or carries //fdlint:novalidate REASON.
 package analyze
@@ -28,8 +27,6 @@ import (
 	"repro/internal/analyze/orderedrange"
 	"repro/internal/analyze/purestream"
 	"repro/internal/analyze/sharded"
-	"repro/internal/analyze/shardwrite"
-	"repro/internal/analyze/streamtree"
 	"repro/internal/analyze/validatecover"
 )
 
@@ -40,8 +37,6 @@ func All() []*analysis.Analyzer {
 		orderedrange.Analyzer,
 		purestream.Analyzer,
 		sharded.Analyzer,
-		shardwrite.Analyzer,
-		streamtree.Analyzer,
 		validatecover.Analyzer,
 	}
 }

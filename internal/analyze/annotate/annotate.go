@@ -17,9 +17,9 @@
 //	                 persistent worker pool (sharded allows `go` here)
 //	serial           the value declared here is a serial-only stream:
 //	                 it must never reach a parallel section
-//	stream-ok REASON suppress one streamtree finding on this line
+//	stream-ok REASON suppress one purestream seed finding on this line
 //	                 (e.g. a scratch source reseeded before every use)
-//	shard-ok REASON  suppress one shardwrite finding on this line
+//	shard-ok REASON  suppress one sharded write finding on this line
 //	novalidate REASON  this JSON-tagged scenario field is exempt from
 //	                 the validatecover read requirement
 //

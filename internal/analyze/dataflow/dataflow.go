@@ -9,17 +9,19 @@
 // function classifying roots (parameters, named globals, literals) and
 // composite expressions. That is sound for the "where could this value
 // have come from" questions the suite asks — seed provenance in
-// streamtree, shard-index provenance in shardwrite — where any single
+// purestream, shard-index provenance in sharded — where any single
 // suspicious definition should taint the identifier, and it keeps the
 // evaluator a few dozen lines instead of an SSA builder. Cycles
 // (i = i + 1, accumulator loops) resolve to the join of their acyclic
-// definitions.
+// definitions. The package also holds the few AST and type predicates
+// its clients share (HasIndexStep, Callee, IsIntegral, IsSourceType).
 package dataflow
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Value is one element of a client lattice. Clients define their own
@@ -58,7 +60,7 @@ type Chains struct {
 	defs   map[types.Object][]Def
 	// declLoop maps a locally defined object to the innermost
 	// for/range statement enclosing its definition (absent when defined
-	// outside every loop) — the loop-invariance query streamtree's
+	// outside every loop) — the loop-invariance query purestream's
 	// aliasing rule needs.
 	declLoop map[types.Object]ast.Stmt
 }
@@ -341,4 +343,66 @@ func RootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// HasIndexStep reports whether the selector/star chain of e contains
+// an index or slice step (an element or sub-range access).
+func HasIndexStep(e ast.Expr) bool {
+	for {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.IndexExpr, *ast.SliceExpr:
+			return true
+		case *ast.SelectorExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		default:
+			return false
+		}
+	}
+}
+
+// Callee resolves the statically called function or method of call;
+// nil for calls through function values, builtins and conversions.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// IsIntegral reports whether t is an integer type after unwrapping
+// named types.
+func IsIntegral(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0
+}
+
+// IsSourceType reports whether t is simrand.Source or a pointer to it.
+// The package is matched by import path — internal/simrand or any path
+// ending in /internal/simrand — so the module's own simrand qualifies
+// under any module name, while an unrelated package that happens to be
+// named simrand does not.
+func IsSourceType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Name() != "Source" || obj.Pkg() == nil {
+		return false
+	}
+	path := obj.Pkg().Path()
+	return path == "internal/simrand" || strings.HasSuffix(path, "/internal/simrand")
 }

@@ -4,7 +4,23 @@
 // randomness, wall clocks, or process environment. All randomness must
 // flow from the seeded simrand split tree (internal/simrand), whose
 // sources are threaded explicitly through the code — including through
-// interfaces; purestream only rejects the ambient escape hatches.
+// interfaces.
+//
+// Two rules share one ban table. Directly, every import or use of an
+// ambient escape hatch is flagged. Through the seed-provenance lattice
+// (seed.go), every *simrand.Source must be constructed (or reseeded)
+// from a value derived from the run seed through the blessed
+// operations — simrand.Mix64, integer arithmetic on seed values, and
+// package helpers that provably return seed-derived values (tracked as
+// DerivesSeed object facts). Sources seeded from literals, banned
+// ambient state, or unproven values are flagged, as is storing one
+// loop-invariant source value into per-element storage (two tags or
+// shards would then share — alias — a single stream).
+//
+// The escape hatch for the seed rules is //fdlint:stream-ok REASON on
+// the offending line, for sources that are provably re-seeded before
+// every use (scratch sources restored via SetState, per-window Reseed
+// loops).
 package purestream
 
 import (
@@ -13,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/analyze/analysis"
+	"repro/internal/analyze/annotate"
 )
 
 // EnginePackages are the import-path suffixes purestream governs: the
@@ -30,18 +47,16 @@ var EnginePackages = []string{
 	"internal/energy",
 }
 
-// forbiddenImports maps import paths engine packages must not depend
-// on to the reason.
-var forbiddenImports = map[string]string{
-	"math/rand":    "unseeded global randomness; thread a simrand.Source instead",
-	"math/rand/v2": "RNG outside the seeded split tree; thread a simrand.Source instead",
-	"crypto/rand":  "nondeterministic entropy; thread a simrand.Source instead",
-}
-
-// forbiddenCalls maps package-level functions engine packages must not
-// call to the reason. Keyed by full name as types.Object.String
-// reports it ("time.Now").
-var forbiddenCalls = map[string]string{
+// bans maps each ambient escape hatch to the reason engine packages
+// must not use it. A key is either an import path, banning the whole
+// package, or "pkgname.Func", banning one package-level function or
+// variable; the latter is keyed by the package's name, not its import
+// path ("time.Now"). Both the direct diagnostics and the seed
+// lattice's tainted level read this one table.
+var bans = map[string]string{
+	"math/rand":      "unseeded global randomness; thread a simrand.Source instead",
+	"math/rand/v2":   "RNG outside the seeded split tree; thread a simrand.Source instead",
+	"crypto/rand":    "nondeterministic entropy; thread a simrand.Source instead",
 	"time.Now":       "wall-clock time makes results time-dependent",
 	"time.Since":     "wall-clock time makes results time-dependent",
 	"time.Until":     "wall-clock time makes results time-dependent",
@@ -52,12 +67,38 @@ var forbiddenCalls = map[string]string{
 	"runtime.NumCPU": "hardware shape must not influence simulation output",
 }
 
+// bannedName returns the "pkgname.Func" key of a package-level
+// function or variable, and whether bans names it. Methods have a
+// receiver and are reached through explicitly threaded values, so
+// they are never banned by name.
+func bannedName(obj types.Object) (string, bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return "", false
+	}
+	switch o := obj.(type) {
+	case *types.Func:
+		if o.Type().(*types.Signature).Recv() != nil {
+			return "", false
+		}
+	case *types.Var:
+		if o.Parent() != o.Pkg().Scope() {
+			return "", false
+		}
+	default:
+		return "", false
+	}
+	name := obj.Pkg().Name() + "." + obj.Name()
+	_, bad := bans[name]
+	return name, bad
+}
+
 // Analyzer is the purestream analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "purestream",
 	Doc: "engine packages must be pure functions of (Scenario, seed): " +
 		"no math/rand or crypto/rand, no wall clocks, no environment reads; " +
-		"randomness flows only from the seeded simrand split tree",
+		"every *simrand.Source is seeded from the run seed via the blessed " +
+		"split/hash constructors and never aliased across loop elements",
 	Run: run,
 }
 
@@ -75,38 +116,33 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	if !Governs(pass.Pkg.Path()) {
 		return nil, nil
 	}
+	exportDeriveFacts(pass)
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if why, bad := forbiddenImports[path]; bad {
+			if why, bad := bans[path]; bad {
 				pass.Reportf(imp.Pos(), "engine package imports %s: %s", path, why)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj := pass.TypesInfo.Uses[sel.Sel]
-			if obj == nil || obj.Pkg() == nil {
-				return true
-			}
-			// Package-level functions and variables only: methods have a
-			// receiver and are reached through explicitly threaded values.
-			if _, isFunc := obj.(*types.Func); !isFunc {
-				if _, isVar := obj.(*types.Var); !isVar {
-					return true
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if name, bad := bannedName(pass.TypesInfo.Uses[sel.Sel]); bad {
+					pass.Reportf(sel.Pos(), "engine package uses %s: %s", name, bans[name])
 				}
-			}
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return true
-			}
-			name := obj.Pkg().Name() + "." + obj.Name()
-			if why, bad := forbiddenCalls[name]; bad {
-				pass.Reportf(sel.Pos(), "engine package uses %s: %s", name, why)
 			}
 			return true
 		})
+		af := annotate.NewFile(pass.Fset, f)
+		for _, d := range af.All() {
+			if d.Verb == "stream-ok" && d.Reason == "" {
+				pass.Reportf(d.Pos, "//fdlint:stream-ok suppression requires a reason")
+			}
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkFunc(pass, af, fd)
+			}
+		}
 	}
 	return nil, nil
 }

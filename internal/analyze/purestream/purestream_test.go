@@ -17,6 +17,14 @@ func TestPurestream(t *testing.T) {
 	analysistest.Run(t, "testdata", purestream.Analyzer, "puretest/clock")
 }
 
+// The seed corpus proves the analyzer accepts seed-rooted construction
+// (directly, via Mix64, and via DerivesSeed helper facts), flags
+// literal, ambient, and unproven seeds, flags loop element aliasing,
+// and honours only reasoned stream-ok suppressions.
+func TestStreamtree(t *testing.T) {
+	analysistest.Run(t, "testdata", purestream.Analyzer, "streamtest/internal/netsim")
+}
+
 func TestGoverns(t *testing.T) {
 	for path, want := range map[string]bool{
 		"repro/internal/mac":     true,

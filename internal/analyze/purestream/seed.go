@@ -1,17 +1,4 @@
-// Package streamtree proves seed provenance for the engine's random
-// streams: every *simrand.Source must be constructed (or reseeded)
-// from a value derived from the run seed through the blessed
-// operations — simrand.Mix64, integer arithmetic on seed values, and
-// package helpers that provably return seed-derived values (tracked as
-// object facts). Sources seeded from literals, wall clocks, or ambient
-// RNG break the (Scenario, seed) purity contract and are flagged, as
-// is storing one loop-invariant source value into per-element storage
-// (two tags or shards would then share — alias — a single stream).
-//
-// The escape hatch is //fdlint:stream-ok REASON on the offending line,
-// for sources that are provably re-seeded before every use (scratch
-// sources restored via SetState, per-window Reseed loops).
-package streamtree
+package purestream
 
 import (
 	"go/ast"
@@ -22,17 +9,7 @@ import (
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
 	"repro/internal/analyze/dataflow"
-	"repro/internal/analyze/purestream"
 )
-
-// Analyzer is the streamtree analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name: "streamtree",
-	Doc: "every *simrand.Source must be seeded from the run seed via the " +
-		"blessed split/hash constructors; literal-, clock-, or ambient-seeded " +
-		"sources and sources aliased across loop elements are flagged",
-	Run: run,
-}
 
 // DerivesSeed is the object fact exported for a function whose every
 // return value is provably seed-derived (given seed-derived inputs);
@@ -53,47 +30,12 @@ const (
 	provTainted
 )
 
-// taintedCalls are the ambient-state escape hatches (purestream's ban
-// list) that make a seed expression tainted rather than merely
-// unproven, keyed by "pkgname.Func".
-var taintedCalls = map[string]bool{
-	"time.Now":     true,
-	"time.Since":   true,
-	"time.Until":   true,
-	"os.Getenv":    true,
-	"os.LookupEnv": true,
-	"os.Environ":   true,
-	"os.Hostname":  true,
-}
-
-// taintedPackages taint every function they export.
-var taintedPackages = map[string]bool{
-	"math/rand":    true,
-	"math/rand/v2": true,
-	"crypto/rand":  true,
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	if !purestream.Governs(pass.Pkg.Path()) {
-		return nil, nil
-	}
-	exportDeriveFacts(pass)
-	for _, f := range pass.Files {
-		af := annotate.NewFile(pass.Fset, f)
-		for _, d := range af.All() {
-			if d.Verb == "stream-ok" && d.Reason == "" {
-				pass.Reportf(d.Pos, "//fdlint:stream-ok suppression requires a reason")
-			}
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, af, fd)
-		}
-	}
-	return nil, nil
+// tainted reports whether calling obj reads ambient state: any
+// function of a banned package, or a banned function.
+func tainted(obj types.Object) bool {
+	_, pkgBanned := bans[obj.Pkg().Path()]
+	_, fnBanned := bannedName(obj)
+	return pkgBanned || fnBanned
 }
 
 // exportDeriveFacts runs the provenance evaluator over every function
@@ -132,7 +74,7 @@ func exportDeriveFacts(pass *analysis.Pass) {
 // returnsDerived reports whether every return expression of fd
 // evaluates to provDerived (and at least one return exists).
 func returnsDerived(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if !isIntegral(resultType(pass, fd)) {
+	if !dataflow.IsIntegral(resultType(pass, fd)) {
 		return false
 	}
 	c := dataflow.New(pass.TypesInfo, fd)
@@ -203,7 +145,7 @@ func checkFunc(pass *analysis.Pass, af *annotate.File, fd *ast.FuncDecl) {
 // checkSeedCall classifies the seed argument of simrand.New and
 // (*simrand.Source).Reseed calls.
 func checkSeedCall(pass *analysis.Pass, af *annotate.File, ev *dataflow.Evaluator, call *ast.CallExpr) {
-	obj := calleeObject(pass.TypesInfo, call)
+	obj := dataflow.Callee(pass.TypesInfo, call)
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "simrand" || len(call.Args) != 1 {
 		return
 	}
@@ -238,11 +180,11 @@ func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains,
 	}
 	innermost := loops[len(loops)-1]
 	for i, lhs := range as.Lhs {
-		if !containsIndex(lhs) {
+		if !dataflow.HasIndexStep(lhs) {
 			continue
 		}
 		rhs := ast.Unparen(as.Rhs[i])
-		if !isSourceType(pass.TypesInfo.TypeOf(rhs)) {
+		if !dataflow.IsSourceType(pass.TypesInfo.TypeOf(rhs)) {
 			continue
 		}
 		switch v := rhs.(type) {
@@ -254,7 +196,7 @@ func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains,
 		case *ast.SelectorExpr:
 			// A field read (e.src, w.lossSrc): invariant unless the
 			// selector path itself is indexed by something loop-local.
-			if containsIndex(v) {
+			if dataflow.HasIndexStep(v) {
 				continue
 			}
 		default:
@@ -278,8 +220,7 @@ func suppressed(pass *analysis.Pass, af *annotate.File, n ast.Node) bool {
 
 // transfer is the seed-provenance lattice over one function's chains.
 func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
-	var tf dataflow.Transfer
-	tf = func(e ast.Expr, eval func(ast.Expr) dataflow.Value) dataflow.Value {
+	return func(e ast.Expr, eval func(ast.Expr) dataflow.Value) dataflow.Value {
 		switch v := e.(type) {
 		case *ast.Ident:
 			obj := c.Obj(v)
@@ -288,13 +229,13 @@ func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
 			// its declaration site (its own initializer is checked
 			// there). Locals with recorded definitions are judged by
 			// those definitions instead, so `seed := 42` stays literal.
-			if obj != nil && len(c.Defs(obj)) == 0 && seedName(v.Name) && isIntegral(obj.Type()) {
+			if obj != nil && len(c.Defs(obj)) == 0 && seedName(v.Name) && dataflow.IsIntegral(obj.Type()) {
 				return provDerived
 			}
 			return provUnknown
 		case *ast.SelectorExpr:
 			if seedName(v.Sel.Name) {
-				if tv, ok := pass.TypesInfo.Types[e]; ok && isIntegral(tv.Type) {
+				if tv, ok := pass.TypesInfo.Types[e]; ok && dataflow.IsIntegral(tv.Type) {
 					return provDerived
 				}
 			}
@@ -315,24 +256,19 @@ func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
 				// Conversion: uint64(x) carries x's provenance.
 				return eval(v.Args[0])
 			}
-			obj := calleeObject(pass.TypesInfo, v)
+			obj := dataflow.Callee(pass.TypesInfo, v)
 			if obj == nil || obj.Pkg() == nil {
 				return provUnknown
 			}
-			if taintedPackages[obj.Pkg().Path()] {
-				return provTainted
-			}
-			if taintedCalls[obj.Pkg().Name()+"."+obj.Name()] {
+			if tainted(obj) {
 				return provTainted
 			}
 			// Taint flows THROUGH any call (time.Now().UnixNano(),
 			// f(rand.Int())); derivation flows only through the blessed
 			// operations below.
 			spill := joinArgs(v, eval)
-			if sel, isSel := ast.Unparen(v.Fun).(*ast.SelectorExpr); isSel {
-				if sig, isSig := obj.Type().(*types.Signature); isSig && sig.Recv() != nil {
-					spill = dataflow.Join(spill, eval(sel.X))
-				}
+			if sel, isSel := ast.Unparen(v.Fun).(*ast.SelectorExpr); isSel && obj.Type().(*types.Signature).Recv() != nil {
+				spill = dataflow.Join(spill, eval(sel.X))
 			}
 			if spill == provTainted {
 				return provTainted
@@ -352,7 +288,6 @@ func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
 		}
 		return provUnknown
 	}
-	return tf
 }
 
 func joinArgs(call *ast.CallExpr, eval func(ast.Expr) dataflow.Value) dataflow.Value {
@@ -366,57 +301,4 @@ func joinArgs(call *ast.CallExpr, eval func(ast.Expr) dataflow.Value) dataflow.V
 // seedName reports whether an identifier names a seed value.
 func seedName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "seed")
-}
-
-// isIntegral reports whether t is an integer type (after unwrapping
-// named types).
-func isIntegral(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// isSourceType reports whether t is *simrand.Source (by package name
-// and type name, so corpus simrand shims qualify).
-func isSourceType(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Source" && obj.Pkg() != nil && obj.Pkg().Name() == "simrand"
-}
-
-// containsIndex reports whether the expression chain contains an index
-// operation (an element access).
-func containsIndex(e ast.Expr) bool {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			return true
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return false
-		}
-	}
-}
-
-// calleeObject resolves the called function or method object.
-func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[fun]
-	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
-	}
-	return nil
 }

@@ -1,10 +1,12 @@
-// Package netsim is the streamtree corpus: a miniature of the engine's
+// Package netsim is the purestream seed corpus: a miniature of the engine's
 // seed split tree exercising every provenance class — seed-rooted
 // construction, Mix64 hashing, DerivesSeed helper facts, literal
-// seeds, wall-clock seeds, unproven seeds, and loop element aliasing.
+// seeds, wall-clock and hardware-shape seeds, unproven seeds, and loop
+// element aliasing.
 package netsim
 
 import (
+	"runtime"
 	"time"
 
 	"repro/internal/simrand"
@@ -59,7 +61,13 @@ func literalDirect() *simrand.Source {
 
 // wallClock seeds from the wall clock: tainted, not merely unproven.
 func wallClock() *simrand.Source {
-	return simrand.New(uint64(time.Now().UnixNano())) // want `seeded from ambient state`
+	return simrand.New(uint64(time.Now().UnixNano())) // want `seeded from ambient state` `engine package uses time.Now`
+}
+
+// hardwareShape seeds from the host's CPU count: tainted like the
+// wall clock.
+func hardwareShape() *simrand.Source {
+	return simrand.New(uint64(runtime.NumCPU())) // want `seeded from ambient state` `engine package uses runtime.NumCPU`
 }
 
 // unproven seeds from a parameter with no seed pedigree.

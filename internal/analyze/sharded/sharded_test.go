@@ -16,6 +16,17 @@ func TestSharded(t *testing.T) {
 	analysistest.Run(t, "testdata", sharded.Analyzer, "shardtest/internal/netsim")
 }
 
+// The write corpus proves the analyzer accepts range-parameter indices
+// (directly, through arithmetic and partition-column indirection,
+// and through element-pointer narrowing), exempts worker scratch and
+// shard-owned sub-ranges, flags cross-index and whole-column writes,
+// and honours only reasoned shard-ok suppressions — inside netsim and,
+// with the go-statement rule off, outside it.
+func TestShardwrite(t *testing.T) {
+	analysistest.Run(t, "testdata", sharded.Analyzer, "shardwtest/internal/netsim")
+	analysistest.Run(t, "testdata", sharded.Analyzer, "shardwtest/internal/mac")
+}
+
 func TestGoverns(t *testing.T) {
 	for path, want := range map[string]bool{
 		"repro/internal/netsim":     true,

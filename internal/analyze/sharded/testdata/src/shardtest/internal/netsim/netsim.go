@@ -53,6 +53,20 @@ func (e *engine) badShard(lo, hi int) {
 	}
 }
 
+// mixedAlias rebinds a parameter-rooted local to the engine source on
+// one path: a single receiver-rooted definition makes every use of the
+// alias engine-shared, so the rebinding line reports both the alias
+// and e.src.
+//
+//fdlint:parallel
+func (e *engine) mixedAlias(w *worker, lo, hi int) {
+	src := w.lossSrc
+	if lo > hi {
+		src = e.src // want `uses a \*simrand.Source not rooted at a parameter` `uses a \*simrand.Source not rooted at a parameter`
+	}
+	_ = src.Uint64() // want `uses a \*simrand.Source not rooted at a parameter`
+}
+
 // chatty does channel traffic on a worker: parallel sections must be
 // pure compute between dispatch barriers.
 //

@@ -1,4 +1,4 @@
-// Package netsim is the shardwrite corpus: a miniature of the
+// Package netsim is the sharded write corpus: a miniature of the
 // engine's struct-of-arrays round state exercising the index
 // provenance rules — range-parameter indices, arithmetic and
 // partition-column indirection, element-pointer narrowing, cross-index

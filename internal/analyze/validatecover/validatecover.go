@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
+	"repro/internal/analyze/dataflow"
 )
 
 // Analyzer is the validatecover analyzer.
@@ -194,7 +195,7 @@ func reachableFieldReads(pass *analysis.Pass, start *types.Func) map[*types.Var]
 					}
 				}
 			case *ast.CallExpr:
-				if callee := calleeFunc(pass.TypesInfo, v); callee != nil && callee.Pkg() == pass.Pkg && !visited[callee] {
+				if callee := dataflow.Callee(pass.TypesInfo, v); callee != nil && callee.Pkg() == pass.Pkg && !visited[callee] {
 					queue = append(queue, callee)
 				}
 			}
@@ -202,19 +203,6 @@ func reachableFieldReads(pass *analysis.Pass, start *types.Func) map[*types.Var]
 		})
 	}
 	return read
-}
-
-// calleeFunc resolves the statically called function or method.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
 }
 
 // ownerName renders the declaring struct's type name for diagnostics.
