@@ -14,7 +14,8 @@
 // evaluator a few dozen lines instead of an SSA builder. Cycles
 // (i = i + 1, accumulator loops) resolve to the join of their acyclic
 // definitions. The package also holds the few AST and type predicates
-// its clients share (HasIndexStep, Callee, IsIntegral, IsSourceType).
+// its clients share (ObjectOf, Mentions, BuiltinName, HasIndexStep,
+// Callee, IsIntegral, IsSourceType).
 package dataflow
 
 import (
@@ -218,14 +219,6 @@ func (c *Chains) recordRange(rs *ast.RangeStmt, loops []ast.Stmt) {
 	}
 }
 
-// Obj resolves an identifier to its object (definition or use).
-func (c *Chains) Obj(id *ast.Ident) types.Object {
-	if obj := c.info.Uses[id]; obj != nil {
-		return obj
-	}
-	return c.info.Defs[id]
-}
-
 // Defs returns the recorded definitions of obj, in source order.
 func (c *Chains) Defs(obj types.Object) []Def { return c.defs[obj] }
 
@@ -284,7 +277,7 @@ func (ev *Evaluator) Eval(e ast.Expr) Value {
 	if !ok {
 		return ev.TF(e, ev.Eval)
 	}
-	obj := ev.C.Obj(id)
+	obj := ObjectOf(ev.C.info, id)
 	if obj == nil {
 		return ev.TF(e, ev.Eval)
 	}
@@ -360,6 +353,42 @@ func HasIndexStep(e ast.Expr) bool {
 			return false
 		}
 	}
+}
+
+// ObjectOf resolves an identifier to its object, whether it is a use
+// or a definition site.
+func ObjectOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// Mentions reports whether expr uses an object for which pred holds.
+func Mentions(info *types.Info, expr ast.Expr, pred func(types.Object) bool) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := info.Uses[id]; obj != nil && pred(obj) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// BuiltinName returns the name of the builtin function call invokes
+// (append, copy, make, ...), or "" when call is not a builtin call.
+func BuiltinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
 }
 
 // Callee resolves the statically called function or method of call;

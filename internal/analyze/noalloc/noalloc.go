@@ -40,10 +40,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
+	"repro/internal/analyze/dataflow"
 )
 
 // Analyzer is the noalloc analyzer.
@@ -161,18 +161,16 @@ func (c *checker) checkCall(call *ast.CallExpr) bool {
 	}
 
 	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				c.report(call, "calls make")
-			case "new":
-				c.report(call, "calls new")
-			case "append":
-				c.checkAppend(call)
-			}
-			return true
+	if name := dataflow.BuiltinName(c.pass.TypesInfo, call); name != "" {
+		switch name {
+		case "make":
+			c.report(call, "calls make")
+		case "new":
+			c.report(call, "calls new")
+		case "append":
+			c.checkAppend(call)
 		}
+		return true
 	}
 
 	// fmt calls.
@@ -401,7 +399,5 @@ func exprString(e ast.Expr) string {
 	if p := exprPath(e); p != "" {
 		return p
 	}
-	var b strings.Builder
-	b.WriteString("<expr>")
-	return b.String()
+	return "<expr>"
 }

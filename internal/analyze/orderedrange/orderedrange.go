@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
+	"repro/internal/analyze/dataflow"
 )
 
 // Analyzer is the orderedrange analyzer.
@@ -129,7 +130,10 @@ func checkMapRange(pass *analysis.Pass, af *annotate.File, fnBody *ast.BlockStmt
 	}
 
 	// Collections: slices appended to inside the body.
-	keyObj := rangeKeyObject(pass, rs)
+	var keyObj types.Object
+	if id, ok := rs.Key.(*ast.Ident); ok && id.Name != "_" {
+		keyObj = dataflow.ObjectOf(pass.TypesInfo, id)
+	}
 	for _, col := range findCollections(pass, rs.Body) {
 		if !leaks(pass, fnBody, rs, col.obj) {
 			continue
@@ -155,18 +159,6 @@ func checkMapRange(pass *analysis.Pass, af *annotate.File, fnBody *ast.BlockStmt
 	}
 }
 
-// rangeKeyObject returns the object of the range key variable, if any.
-func rangeKeyObject(pass *analysis.Pass, rs *ast.RangeStmt) types.Object {
-	id, ok := rs.Key.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[id]
-}
-
 // collection is one slice variable appended to inside a range body.
 type collection struct {
 	obj  types.Object
@@ -179,21 +171,12 @@ func (c *collection) keyOnly(pass *analysis.Pass, key types.Object) bool {
 	for _, args := range c.args {
 		for _, a := range args {
 			id, ok := a.(*ast.Ident)
-			if !ok || identObject(pass, id) != key {
+			if !ok || dataflow.ObjectOf(pass.TypesInfo, id) != key {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// identObject resolves an ident to its object, whether it is a use or
-// a definition site.
-func identObject(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if o := pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return pass.TypesInfo.Defs[id]
 }
 
 // findCollections finds `v = append(v, ...)` statements in the body.
@@ -210,10 +193,10 @@ func findCollections(pass *analysis.Pass, body *ast.BlockStmt) []*collection {
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isBuiltinAppend(pass, call) || len(call.Args) < 2 {
+		if !ok || dataflow.BuiltinName(pass.TypesInfo, call) != "append" || len(call.Args) < 2 {
 			return true
 		}
-		obj := identObject(pass, lhs)
+		obj := dataflow.ObjectOf(pass.TypesInfo, lhs)
 		if obj == nil {
 			return true
 		}
@@ -229,18 +212,10 @@ func findCollections(pass *analysis.Pass, body *ast.BlockStmt) []*collection {
 	return out
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
-}
-
 // leaks reports whether obj reaches a sink call or a return statement
 // in the function, outside the range statement itself.
 func leaks(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
+	is := func(o types.Object) bool { return o == obj }
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if n == rs || found {
@@ -249,14 +224,14 @@ func leaks(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj ty
 		switch s := n.(type) {
 		case *ast.ReturnStmt:
 			for _, r := range s.Results {
-				if mentions(pass, r, obj) {
+				if dataflow.Mentions(pass.TypesInfo, r, is) {
 					found = true
 				}
 			}
 		case *ast.CallExpr:
 			if name := sinkName(pass, s); name != "" {
 				for _, a := range s.Args {
-					if mentions(pass, a, obj) {
+					if dataflow.Mentions(pass.TypesInfo, a, is) {
 						found = true
 					}
 				}
@@ -271,6 +246,7 @@ func leaks(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj ty
 // function: any sort at all, and whether one of them was a total-order
 // element sort.
 func sortedBy(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) (anySort, totalSort bool) {
+	is := func(o types.Object) bool { return o == obj }
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if n == rs {
 			return false
@@ -284,7 +260,7 @@ func sortedBy(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj
 			return true
 		}
 		for _, a := range call.Args {
-			if mentions(pass, a, obj) {
+			if dataflow.Mentions(pass.TypesInfo, a, is) {
 				anySort = true
 				if kind == sortTotal {
 					totalSort = true
@@ -354,22 +330,6 @@ func findSink(pass *analysis.Pass, body *ast.BlockStmt) (token.Pos, string) {
 		return true
 	})
 	return pos, name
-}
-
-// mentions reports whether expr references obj.
-func mentions(pass *analysis.Pass, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if pass.TypesInfo.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // sinkName classifies a call as an output sink, returning a printable

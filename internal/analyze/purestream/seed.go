@@ -189,7 +189,7 @@ func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains,
 		}
 		switch v := rhs.(type) {
 		case *ast.Ident:
-			obj := c.Obj(v)
+			obj := dataflow.ObjectOf(pass.TypesInfo, v)
 			if obj == nil || c.DeclaredInLoop(obj) == innermost {
 				continue
 			}
@@ -223,7 +223,7 @@ func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
 	return func(e ast.Expr, eval func(ast.Expr) dataflow.Value) dataflow.Value {
 		switch v := e.(type) {
 		case *ast.Ident:
-			obj := c.Obj(v)
+			obj := dataflow.ObjectOf(pass.TypesInfo, v)
 			// The name heuristic roots the lattice: a parameter, free
 			// variable, or package value named like a seed is trusted at
 			// its declaration site (its own initializer is checked

@@ -220,7 +220,7 @@ func (ck *checker) rooted(expr ast.Expr, visited map[types.Object]bool) bool {
 	if id == nil {
 		return false
 	}
-	obj := ck.chains.Obj(id)
+	obj := dataflow.ObjectOf(ck.pass.TypesInfo, id)
 	if obj == nil {
 		return false
 	}
@@ -248,7 +248,7 @@ func (ck *checker) checkLvalue(lv ast.Expr) {
 	if !dataflow.HasIndexStep(lv) {
 		if id, ok := ast.Unparen(lv).(*ast.Ident); ok {
 			// Plain local/param rebinding (x := ..., x = append(x, ...)).
-			if obj := ck.chains.Obj(id); obj != nil && !ck.isReceiver(obj) {
+			if obj := dataflow.ObjectOf(ck.pass.TypesInfo, id); obj != nil && !ck.isReceiver(obj) {
 				return
 			}
 		}
@@ -281,21 +281,18 @@ func (ck *checker) checkIndexSteps(e ast.Expr) {
 // checkBulkCall flags copy/clear/append whose destination is shared
 // storage not narrowed to a shard-owned range.
 func (ck *checker) checkBulkCall(call *ast.CallExpr) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || len(call.Args) == 0 {
-		return
-	}
-	if obj, isBuiltin := ck.pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin || obj == nil {
-		return
-	}
-	switch id.Name {
+	name := dataflow.BuiltinName(ck.pass.TypesInfo, call)
+	switch name {
 	case "copy", "clear", "append":
 	default:
 		return
 	}
+	if len(call.Args) == 0 {
+		return
+	}
 	if ck.shared(call.Args[0], map[types.Object]bool{}) && !ck.suppressed(call) {
 		ck.pass.Reportf(call.Args[0].Pos(),
-			"parallel shard applies %s to an engine-shared column: bulk writes race across shards (//fdlint:shard-ok REASON if the range is shard-owned)", id.Name)
+			"parallel shard applies %s to an engine-shared column: bulk writes race across shards (//fdlint:shard-ok REASON if the range is shard-owned)", name)
 	}
 }
 
@@ -307,7 +304,7 @@ func (ck *checker) checkBulkCall(call *ast.CallExpr) {
 func (ck *checker) shared(e ast.Expr, visited map[types.Object]bool) bool {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		obj := ck.chains.Obj(v)
+		obj := dataflow.ObjectOf(ck.pass.TypesInfo, v)
 		if obj == nil || visited[obj] {
 			return false
 		}
@@ -372,7 +369,7 @@ func (ck *checker) suppressed(n ast.Node) bool {
 func (ck *checker) transfer(e ast.Expr, eval func(ast.Expr) dataflow.Value) dataflow.Value {
 	switch v := e.(type) {
 	case *ast.Ident:
-		obj := ck.chains.Obj(v)
+		obj := dataflow.ObjectOf(ck.pass.TypesInfo, v)
 		if obj != nil && ck.chains.IsParam(obj) {
 			return derived
 		}
@@ -433,6 +430,7 @@ func checkSerial(pass *analysis.Pass, af *annotate.File, fd *ast.FuncDecl, paral
 	if len(serial) == 0 {
 		return
 	}
+	isSerial := func(obj types.Object) bool { return serial[obj] }
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -441,7 +439,7 @@ func checkSerial(pass *analysis.Pass, af *annotate.File, fd *ast.FuncDecl, paral
 				if _, ok := lhs.(*ast.SelectorExpr); !ok {
 					continue
 				}
-				if i < len(v.Rhs) && mentionsSerial(pass, v.Rhs[i], serial) {
+				if i < len(v.Rhs) && dataflow.Mentions(pass.TypesInfo, v.Rhs[i], isSerial) {
 					pass.Reportf(v.Pos(), "serial-only stream stored into a struct field: //fdlint:serial values must not outlive the serial section")
 				}
 			}
@@ -463,24 +461,11 @@ func checkSerial(pass *analysis.Pass, af *annotate.File, fd *ast.FuncDecl, paral
 				return true
 			}
 			for _, arg := range v.Args {
-				if mentionsSerial(pass, arg, serial) {
+				if dataflow.Mentions(pass.TypesInfo, arg, isSerial) {
 					pass.Reportf(arg.Pos(), "serial-only stream passed to //fdlint:parallel function %s: worker interleaving would perturb its draw sequence", callee.Name())
 				}
 			}
 		}
 		return true
 	})
-}
-
-func mentionsSerial(pass *analysis.Pass, e ast.Expr, serial map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := pass.TypesInfo.Uses[id]; obj != nil && serial[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -171,10 +171,17 @@ func TestCoherenceRho(t *testing.T) {
 	}
 }
 
+// apply returns the path output for tx on its own, through AddTo.
+func apply(p *Path, tx sigproc.IQ) sigproc.IQ {
+	dst := sigproc.NewIQ(len(tx))
+	p.AddTo(tx, dst)
+	return dst
+}
+
 func TestPathGainApplied(t *testing.T) {
 	p := &Path{Gain: 0.25}
 	tx := sigproc.NewIQ(64).Fill(1)
-	rx := p.Apply(tx, nil)
+	rx := apply(p, tx)
 	// Power gain 0.25 -> amplitude 0.5.
 	if math.Abs(rx.Power()-0.25) > 1e-12 {
 		t.Fatalf("rx power = %g, want 0.25", rx.Power())
@@ -205,7 +212,7 @@ func TestPathAddToPanicsOnShortDst(t *testing.T) {
 func TestPathDelay(t *testing.T) {
 	p := &Path{Gain: 1, DelaySamples: 2}
 	tx := sigproc.IQ{1, 0, 0, 0}
-	rx := p.Apply(tx, nil)
+	rx := apply(p, tx)
 	if cmplx.Abs(rx[0]) > 1e-12 || cmplx.Abs(rx[2]-1) > 1e-12 {
 		t.Fatalf("delayed impulse wrong: %v", rx)
 	}
@@ -215,7 +222,7 @@ func TestPathCFORotates(t *testing.T) {
 	const fs = 1e6
 	p := &Path{Gain: 1, CFOHz: 1000, SampleRate: fs}
 	tx := sigproc.NewIQ(1000).Fill(1)
-	rx := p.Apply(tx, nil)
+	rx := apply(p, tx)
 	// After 1000 samples at 1 kHz offset and 1 MHz fs, phase advanced
 	// 2*pi*1000*(1000/1e6) = 2*pi rad -> back near start; halfway should
 	// be rotated by pi.
@@ -228,8 +235,8 @@ func TestPathCFOPhaseContinuity(t *testing.T) {
 	const fs = 1e6
 	p := &Path{Gain: 1, CFOHz: 12345, SampleRate: fs}
 	tx := sigproc.NewIQ(100).Fill(1)
-	a := p.Apply(tx, nil).Clone()
-	b := p.Apply(tx, nil)
+	a := apply(p, tx).Clone()
+	b := apply(p, tx)
 	// First sample of second block should continue the rotation, not
 	// reset to phase 0.
 	step := 2 * math.Pi * 12345 / fs
@@ -247,27 +254,15 @@ func TestPathCFOWithoutRatePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	(&Path{Gain: 1, CFOHz: 100}).Apply(sigproc.NewIQ(4), nil)
+	(&Path{Gain: 1, CFOHz: 100}).AddTo(sigproc.NewIQ(4), sigproc.NewIQ(4))
 }
 
 func TestPathFaderScales(t *testing.T) {
 	p := &Path{Gain: 1, Fader: NewStaticFader(complex(0, 1))}
 	tx := sigproc.IQ{1}
-	rx := p.Apply(tx, nil)
+	rx := apply(p, tx)
 	if cmplx.Abs(rx[0]-1i) > 1e-12 {
 		t.Fatalf("fader coefficient not applied: %v", rx[0])
-	}
-}
-
-func TestMultipathTwoRay(t *testing.T) {
-	mp := NewTwoRay(1, 3, 0.25)
-	tx := sigproc.IQ{1, 0, 0, 0, 0}
-	rx := mp.Apply(tx, nil)
-	if cmplx.Abs(rx[0]-1) > 1e-12 {
-		t.Fatalf("direct tap wrong: %v", rx)
-	}
-	if cmplx.Abs(rx[3]-0.5) > 1e-12 { // amplitude sqrt(0.25)
-		t.Fatalf("echo tap wrong: %v", rx)
 	}
 }
 

@@ -172,11 +172,3 @@ func (m *Medium) AddNoise(x []complex128) {
 
 // NoisePower returns the configured per-sample noise power.
 func (m *Medium) NoisePower() float64 { return m.cfg.NoisePower }
-
-// SampleRate returns the configured sample rate.
-func (m *Medium) SampleRate() float64 { return m.cfg.SampleRate }
-
-// Rand returns a child random source derived from the medium's stream,
-// for components that need consistent randomness (e.g. interferer start
-// offsets).
-func (m *Medium) Rand() *simrand.Source { return m.src.Split() }

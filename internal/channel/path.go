@@ -35,7 +35,7 @@ type Path struct {
 }
 
 // BlockStart draws the fading coefficient for the next coherence block.
-// Call once per block before Apply/AddTo; if never called, the first use
+// Call once per block before AddTo; if never called, the first use
 // draws automatically.
 func (p *Path) BlockStart() {
 	if p.Fader != nil {
@@ -53,18 +53,6 @@ func (p *Path) Coeff() complex128 {
 		p.BlockStart()
 	}
 	return complex(math.Sqrt(p.Gain), 0) * p.coeff
-}
-
-// Apply writes the path output for tx into dst (allocated if nil or
-// short) and returns dst. The output has the same length as the input.
-func (p *Path) Apply(tx sigproc.IQ, dst sigproc.IQ) sigproc.IQ {
-	if cap(dst) < len(tx) {
-		dst = make(sigproc.IQ, len(tx))
-	}
-	dst = dst[:len(tx)]
-	dst.Zero()
-	p.AddTo(tx, dst)
-	return dst
 }
 
 // AddTo accumulates the path output for tx into dst, which must be at
@@ -98,45 +86,4 @@ func (p *Path) AddTo(tx sigproc.IQ, dst sigproc.IQ) {
 	}
 	// Keep phase continuous across blocks, wrapped to avoid precision loss.
 	p.phase = math.Mod(ph, 2*math.Pi)
-}
-
-// Multipath is a tapped-delay-line channel: a sum of Paths with
-// different delays and gains sharing one fading draw pattern.
-type Multipath struct {
-	Taps []Path
-}
-
-// NewTwoRay returns a classic two-ray multipath with a direct tap and one
-// echo delayed by delaySamples carrying echoPower of the direct power.
-func NewTwoRay(gain float64, delaySamples, echoPower float64) *Multipath {
-	return &Multipath{Taps: []Path{
-		{Gain: gain},
-		{Gain: gain * echoPower, DelaySamples: delaySamples},
-	}}
-}
-
-// BlockStart starts a new coherence block on every tap.
-func (m *Multipath) BlockStart() {
-	for i := range m.Taps {
-		m.Taps[i].BlockStart()
-	}
-}
-
-// AddTo accumulates the multipath output into dst.
-func (m *Multipath) AddTo(tx sigproc.IQ, dst sigproc.IQ) {
-	for i := range m.Taps {
-		m.Taps[i].AddTo(tx, dst)
-	}
-}
-
-// Apply writes the multipath output for tx into dst (allocated if nil or
-// short) and returns dst.
-func (m *Multipath) Apply(tx sigproc.IQ, dst sigproc.IQ) sigproc.IQ {
-	if cap(dst) < len(tx) {
-		dst = make(sigproc.IQ, len(tx))
-	}
-	dst = dst[:len(tx)]
-	dst.Zero()
-	m.AddTo(tx, dst)
-	return dst
 }

@@ -137,9 +137,6 @@ func (l *BurstLoss) Idle(n int) {
 	}
 }
 
-// Active reports whether a burst is currently in progress.
-func (l *BurstLoss) Active() bool { return l.remaining > 0 }
-
 // DutyCycle returns the long-run fraction of chunk-times inside bursts.
 func (l *BurstLoss) DutyCycle() float64 {
 	if l.StartProb <= 0 {

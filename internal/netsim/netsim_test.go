@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -252,14 +253,61 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseScenarioRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseScenario([]byte(`{"tags": 4, "typo_field": 1}`)); err == nil {
-		t.Fatal("unknown JSON field accepted")
+	for _, tc := range []struct{ name, data string }{
+		{"unknown field", `{"tags": 4, "typo_field": 1}`},
+		{"second value", `{"name": "x", "tags": 4} {"tags": 999}`},
+		{"stray bracket", `{"name": "x", "tags": 4}]garbage`},
+		{"trailing garbage", `{"name": "x", "tags": 4} garbage`},
+	} {
+		if _, err := ParseScenario([]byte(tc.data)); err == nil {
+			t.Errorf("%s: %s accepted", tc.name, tc.data)
+		}
 	}
+}
+
+// FuzzParseScenario: ParseScenario takes request bodies and config
+// files, so no input may panic it or the Validate that follows, and an
+// accepted scenario survives a marshal/parse round trip unchanged (the
+// resume-token contract).
+func FuzzParseScenario(f *testing.F) {
+	preset, err := Preset("warehouse")
+	if err != nil {
+		f.Fatal(err)
+	}
+	js, err := json.Marshal(preset)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(js)
+	f.Add([]byte(`{"name":"x","tags":4} {"tags":999}`))
+	f.Add([]byte(`{"name":"x","tags":4}]garbage`))
+	f.Add([]byte(`{"name":"x","tags":4,"bogus_field":7}`))
+	f.Add([]byte(""))
+	f.Add([]byte("{nope"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		js, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("accepted scenario does not marshal: %v", err)
+		}
+		again, err := ParseScenario(js)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", js, err)
+		}
+		if !reflect.DeepEqual(again, sc) {
+			t.Fatalf("round trip changed the scenario:\n got %+v\nwant %+v", again, sc)
+		}
+		sc.ApplyDefaults()
+		_ = sc.Validate()
+	})
 }
 
 func TestLoadScenarioFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.json")
-	if err := os.WriteFile(path, []byte(`{"name": "file", "tags": 3}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("{\"name\": \"file\", \"tags\": 3}\n\t \n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := LoadScenario(path)

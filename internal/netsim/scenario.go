@@ -3,7 +3,9 @@ package netsim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -501,13 +503,18 @@ func PresetNames() []string {
 }
 
 // ParseScenario decodes a scenario from JSON, rejecting unknown fields
-// so typos in config files fail loudly.
+// and anything but whitespace after the object, so typos in config files
+// fail loudly.
 func ParseScenario(data []byte) (Scenario, error) {
 	var s Scenario
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("netsim: bad scenario JSON: %w", err)
+	}
+	// More() reports false at a stray ']', so look for io.EOF itself.
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, errors.New("netsim: bad scenario JSON: trailing data after the scenario object")
 	}
 	return s, nil
 }

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -42,17 +44,20 @@ func presetJSON(t *testing.T, name string) []byte {
 // carries the engine's own Validate/parse error text.
 func TestMalformedScenarioRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	token := func(js string) string { return "?resume=" + base64.RawURLEncoding.EncodeToString([]byte(js)) }
 	for _, tc := range []struct {
-		name, body, wantErr string
+		name, query, body, wantErr string
 	}{
-		{"not json", "{nope", "scenario"},
-		{"unknown field", `{"tags": 4, "bogus_knob": 1}`, "bogus_knob"},
-		{"bad topology", `{"tags": 4, "topology": "dodecahedron"}`, "topology"},
-		{"bad rho", `{"tags": 4, "rho": 2.5}`, "rho"},
-		{"empty body", "", "empty request"},
+		{"not json", "", "{nope", "scenario"},
+		{"unknown field", "", `{"tags": 4, "bogus_knob": 1}`, "bogus_knob"},
+		{"bad topology", "", `{"tags": 4, "topology": "dodecahedron"}`, "topology"},
+		{"bad rho", "", `{"tags": 4, "rho": 2.5}`, "rho"},
+		{"empty body", "", "", "empty request"},
+		{"trailing value", "", `{"name": "x", "tags": 4} {"tags": 999}`, "trailing data"},
+		{"unknown field in resume token", token(`{"v":1,"scenario":{"name":"x","tags":4,"bogus_field":7},"seed":1,"round":2}`), "", "bogus_field"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/runs"+tc.query, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,6 +358,38 @@ func TestResumeRoundBounded(t *testing.T) {
 			t.Errorf("token round %d: status %d (%s), want %d", tc.round, code, body, tc.want)
 		}
 	}
+}
+
+// FuzzDecodeResumeToken: a resume token is client input, so no string
+// may panic the decoder, and an accepted token is in range and survives
+// an encode/decode round trip unchanged.
+func FuzzDecodeResumeToken(f *testing.F) {
+	preset, err := netsim.Preset("warehouse")
+	if err != nil {
+		f.Fatal(err)
+	}
+	b64 := func(js string) string { return base64.RawURLEncoding.EncodeToString([]byte(js)) }
+	f.Add(encodeResumeToken(resumeToken{V: resumeTokenVersion, Scenario: preset, Seed: 9, Round: 3}))
+	f.Add(b64(`{"v":1,"scenario":{"name":"x","tags":4,"bogus_field":7},"seed":1,"round":2}`))
+	f.Add(b64(`{"v":1,"scenario":{"name":"x","tags":4},"seed":1,"round":2} {"round":999}`))
+	f.Add("")
+	f.Add("zzz-not-a-token")
+	f.Fuzz(func(t *testing.T, s string) {
+		tok, err := decodeResumeToken(s)
+		if err != nil {
+			return
+		}
+		if tok.V != resumeTokenVersion || tok.Round < 1 {
+			t.Fatalf("accepted out-of-range token %+v", tok)
+		}
+		again, err := decodeResumeToken(encodeResumeToken(tok))
+		if err != nil {
+			t.Fatalf("re-encoded token rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, tok) {
+			t.Fatalf("round trip changed the token:\n got %+v\nwant %+v", again, tok)
+		}
+	})
 }
 
 // TestSSEFraming: ?format=sse switches the stream to server-sent

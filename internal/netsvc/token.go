@@ -50,15 +50,26 @@ func decodeResumeToken(s string) (resumeToken, error) {
 	if err != nil {
 		return resumeToken{}, fmt.Errorf("not base64url: %w", err)
 	}
-	var t resumeToken
-	if err := json.Unmarshal(b, &t); err != nil {
+	// The scenario is decoded apart, through ParseScenario, so a token
+	// rejects the same unknown fields a POSTed body does.
+	var w struct {
+		V        int             `json:"v"`
+		Scenario json.RawMessage `json:"scenario"`
+		Seed     uint64          `json:"seed"`
+		Round    int             `json:"round"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
 		return resumeToken{}, fmt.Errorf("not a token: %w", err)
 	}
-	if t.V != resumeTokenVersion {
-		return resumeToken{}, fmt.Errorf("token version %d, this server speaks %d", t.V, resumeTokenVersion)
+	if w.V != resumeTokenVersion {
+		return resumeToken{}, fmt.Errorf("token version %d, this server speaks %d", w.V, resumeTokenVersion)
 	}
-	if t.Round < 1 {
-		return resumeToken{}, fmt.Errorf("token round %d out of range", t.Round)
+	if w.Round < 1 {
+		return resumeToken{}, fmt.Errorf("token round %d out of range", w.Round)
 	}
-	return t, nil
+	sc, err := netsim.ParseScenario(w.Scenario)
+	if err != nil {
+		return resumeToken{}, fmt.Errorf("token scenario: %w", err)
+	}
+	return resumeToken{V: w.V, Scenario: sc, Seed: w.Seed, Round: w.Round}, nil
 }

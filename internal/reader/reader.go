@@ -165,9 +165,6 @@ func (r *Reader) Grow(n int) {
 	}
 }
 
-// Modem returns the configured forward modem.
-func (r *Reader) Modem() phy.OOK { return r.cfg.Modem }
-
 // BuildWaveform renders a wire-format frame into the transmit waveform
 // and its section layout. padChips idle chips precede the preamble
 // (randomise per frame to exercise the tag's sync); the flush slot is one

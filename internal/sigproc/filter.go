@@ -105,9 +105,6 @@ func (f *SinglePoleIIR) Value() float64 { return f.y }
 // Reset clears the filter state.
 func (f *SinglePoleIIR) Reset() { f.y = 0 }
 
-// Coefficient returns the smoothing coefficient a.
-func (f *SinglePoleIIR) Coefficient() float64 { return f.a }
-
 // FIR is a finite-impulse-response filter over complex samples.
 type FIR struct {
 	taps  []float64

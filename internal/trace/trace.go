@@ -1,6 +1,6 @@
 // Package trace provides the small metrics toolkit the experiment
-// harness uses: counters, running statistics, histograms, and table
-// rendering in aligned-text or CSV form.
+// harness uses: counters, histograms, and table rendering in
+// aligned-text or CSV form.
 package trace
 
 import (
@@ -11,54 +11,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// Running accumulates mean/variance/min/max in one pass (Welford).
-type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (r *Running) Add(v float64) {
-	if r.n == 0 {
-		r.min, r.max = v, v
-	} else {
-		if v < r.min {
-			r.min = v
-		}
-		if v > r.max {
-			r.max = v
-		}
-	}
-	r.n++
-	d := v - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (v - r.mean)
-}
-
-// N returns the observation count.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the population variance (0 when n < 2).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std returns the population standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min and Max return the extremes (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the maximum observation.
-func (r *Running) Max() float64 { return r.max }
 
 // Histogram is a fixed-bin histogram over [Lo, Hi); out-of-range values
 // clamp into the edge bins.

@@ -1,39 +1,9 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(v)
-	}
-	if r.N() != 8 {
-		t.Fatalf("n = %d", r.N())
-	}
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %g", r.Mean())
-	}
-	if math.Abs(r.Var()-4) > 1e-12 {
-		t.Fatalf("var = %g", r.Var())
-	}
-	if math.Abs(r.Std()-2) > 1e-12 {
-		t.Fatalf("std = %g", r.Std())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("min/max = %g/%g", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.Min() != 0 || r.Max() != 0 {
-		t.Fatal("empty running stats must be zero")
-	}
-}
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
