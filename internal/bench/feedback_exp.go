@@ -11,40 +11,63 @@ import (
 	"repro/internal/trace"
 )
 
+// selfLeakAmp is the reader's TX->RX leakage amplitude in every
+// feedback experiment: -20 dB antenna isolation.
+var selfLeakAmp = math.Sqrt(0.01)
+
 // feedbackChannelBER measures the feedback-channel BER at the reader for
 // a monostatic link: idle carrier transmitted, tag Manchester-toggling
 // its reflection, reader normalising by its own envelope. Returns the
-// empirical BER over nBits plus the analytic prediction. All scratch
-// (reader, carrier blocks, state patterns, random source) comes from
-// the worker's arena; every piece is reset per call, so the result is a
-// pure function of the arguments.
+// empirical BER over nBits plus the analytic prediction.
 func feedbackChannelBER(a *Arena, distM, rho, txPowerW, noiseW float64, samplesPerBit, nBits int, seed uint64) (empirical, analytic float64) {
 	pl := channel.NewLogDistance(915e6, 2.5)
 	g := pl.Gain(distM)
 	fwdAmp := math.Sqrt(g)
 	bwdAmp := math.Sqrt(g)
-	leakAmp := math.Sqrt(0.01) // -20 dB isolation
 	txAmp := math.Sqrt(txPowerW)
+	reflAmp := fwdAmp * math.Sqrt(rho) * bwdAmp
+	empirical = feedbackBER(a, reader.Config{}, nil, txAmp, reflAmp, noiseW, samplesPerBit, nBits, seed)
+	// Analytic: normalised separation delta = reflAmp / ... the
+	// normalised level is |rx|/|tx|; absorb level = leakAmp, reflect =
+	// leakAmp + reflAmp; per-sample noise sigma on the normalised stream
+	// is sqrt(noiseW/2-ish)/ (txAmp) for the dominant real component.
+	delta := reflAmp
+	sigma := math.Sqrt(noiseW/2) / txAmp
+	analytic = feedback.ManchesterBER(delta, sigma, samplesPerBit)
+	return empirical, analytic
+}
 
-	rd, err := a.Reader(reader.Config{})
+// feedbackBER is the trial loop every feedback experiment shares. The
+// reader (configured by rdCfg) transmits a constant carrier of
+// amplitude txAmp and receives its own leak (-20 dB isolation) plus,
+// while the tag reflects, the carrier scaled by reflAmp. Each of nBits
+// random bits is coded with rdCfg.FeedbackCode over spb samples, noised
+// at noiseW and decoded; the result is the bit error rate. calibrate,
+// when non-nil, runs once before the loop and may use rx as scratch.
+// All scratch (reader, carrier blocks, state patterns, random source)
+// comes from the worker's arena; every piece is reset per call, so the
+// result is a pure function of the arguments.
+func feedbackBER(a *Arena, rdCfg reader.Config, calibrate func(rd *reader.Reader, rx, tx sigproc.IQ),
+	txAmp, reflAmp, noiseW float64, spb, nBits int, seed uint64) float64 {
+	rd, err := a.Reader(rdCfg)
 	if err != nil {
 		panic(err)
 	}
 	src := a.Rand(seed)
-	cfg := feedback.Config{SamplesPerBit: samplesPerBit, Code: feedback.CodeManchester}
-
-	tx, rx := a.IQPair(samplesPerBit)
+	cfg := feedback.Config{SamplesPerBit: spb, Code: rdCfg.FeedbackCode}
+	tx, rx := a.IQPair(spb)
 	tx.Fill(complex(txAmp, 0))
-	reflAmp := fwdAmp * math.Sqrt(rho) * bwdAmp
+	if calibrate != nil {
+		calibrate(rd, rx, tx)
+	}
 	// The carrier is constant, so the two per-sample receive levels are
 	// constants too (bit-identical to multiplying per sample).
-	leakV := complex(leakAmp, 0) * complex(txAmp, 0)
+	leakV := complex(selfLeakAmp, 0) * complex(txAmp, 0)
 	reflV := leakV + complex(reflAmp, 0)*complex(txAmp, 0)
 	states0, states1 := a.BitStates(cfg)
-	base0, base1 := a.BasePair(samplesPerBit)
+	base0, base1 := a.BasePair(spb)
 	fillBase(base0, states0, leakV, reflV)
 	fillBase(base1, states1, leakV, reflV)
-
 	errs := 0
 	for i := 0; i < nBits; i++ {
 		bit := src.Bit()
@@ -59,14 +82,7 @@ func feedbackChannelBER(a *Arena, distM, rho, txPowerW, noiseW float64, samplesP
 			errs++
 		}
 	}
-	// Analytic: normalised separation delta = reflAmp / ... the
-	// normalised level is |rx|/|tx|; absorb level = leakAmp, reflect =
-	// leakAmp + reflAmp; per-sample noise sigma on the normalised stream
-	// is sqrt(noiseW/2-ish)/ (txAmp) for the dominant real component.
-	delta := reflAmp
-	sigma := math.Sqrt(noiseW/2) / txAmp
-	analytic = feedback.ManchesterBER(delta, sigma, samplesPerBit)
-	return float64(errs) / float64(nBits), analytic
+	return float64(errs) / float64(nBits)
 }
 
 // fillBase renders the noiseless receive block for one feedback bit
@@ -93,31 +109,24 @@ func init() {
 			nBits := cfg.trials(20000)
 			const fs = 1e6
 			cs := cfg.cells()
-			type cell struct {
-				spb  int
-				d    float64
-				seed uint64
-			}
 			spbs := []int{10, 100, 1000} // 100k / 10k / 1 kbps
-			dists := []float64{0.5, 1, 2, 3, 4, 6, 8}
 			maxSpb := spbs[len(spbs)-1]
-			cells := make([]cell, 0, len(spbs)*len(dists))
 			for _, spb := range spbs {
-				for _, d := range dists {
-					cells = append(cells, cell{spb, d, subSeed(cfg.Seed, "fig1", uint64(spb), fbits(d))})
+				for _, d := range []float64{0.5, 1, 2, 3, 4, 6, 8} {
+					seed := subSeed(cfg.Seed, "fig1", uint64(spb), fbits(d))
+					cs.add(func(a *Arena) row {
+						// Size every buffer for the largest bit period up
+						// front; cells arrive in growing-spb order, and
+						// stepwise growth would otherwise re-allocate at
+						// each size boundary.
+						if err := a.PrewarmFeedback(reader.Config{}, maxSpb); err != nil {
+							panic(err)
+						}
+						ber, ana := feedbackChannelBER(a, d, 0.3, 0.1, 1e-9, spb, nBits, seed)
+						return a.Row(trace.F(d), trace.F(fs/float64(spb)/1000), trace.F(ber), trace.F(ana))
+					})
 				}
 			}
-			cs.addBatch(len(cells), func(a *Arena, i int) row {
-				// Size every buffer for the largest bit period up front;
-				// cells arrive in growing-spb order, and stepwise growth
-				// would otherwise re-allocate at each size boundary.
-				if err := a.PrewarmFeedback(reader.Config{}, maxSpb); err != nil {
-					panic(err)
-				}
-				c := cells[i]
-				ber, ana := feedbackChannelBER(a, c.d, 0.3, 0.1, 1e-9, c.spb, nBits, c.seed)
-				return a.Row(trace.F(c.d), trace.F(fs/float64(c.spb)/1000), trace.F(ber), trace.F(ana))
-			})
 			cs.flushTo(tbl)
 			return &Result{ID: "fig1", Title: tbl.Title, Table: tbl,
 				Shape: "BER rises with distance and falls with averaging: the 1 kbps feedback decodes metres farther than 100 kbps at equal BER."}
@@ -190,7 +199,13 @@ func init() {
 				for _, errPct := range []float64{0, 5, 20} {
 					seed := subSeed(cfg.Seed, "abl-sinorm", uint64(mode), fbits(errPct))
 					cs.add(func(a *Arena) row {
-						ber := siModeBER(a, mode, errPct/100, nBits, seed)
+						txAmp, leakErr := math.Sqrt(0.1), errPct/100
+						// Calibrate with a deliberately wrong leak estimate.
+						miscalibrate := func(rd *reader.Reader, rx, tx sigproc.IQ) {
+							rx.Fill(complex(selfLeakAmp*(1+leakErr), 0) * complex(txAmp, 0))
+							rd.Calibrate(rx, tx)
+						}
+						ber := feedbackBER(a, reader.Config{SI: mode}, miscalibrate, txAmp, 0.002, 2e-6, 100, nBits, seed)
 						return a.Row(trace.S(mode.String()), trace.F(errPct), trace.F(ber))
 					})
 				}
@@ -213,7 +228,7 @@ func init() {
 				for _, ns := range []float64{0.5, 1, 2} {
 					seed := subSeed(cfg.Seed, "abl-fbcode", uint64(code), fbits(ns))
 					cs.add(func(a *Arena) row {
-						ber := fbCodeBER(a, code, ns*2e-6, nBits, seed)
+						ber := feedbackBER(a, reader.Config{FeedbackCode: code}, nil, math.Sqrt(0.1), 0.002, ns*2e-6, 100, nBits, seed)
 						return a.Row(trace.S(code.String()), trace.F(ns), trace.F(ber))
 					})
 				}
@@ -223,83 +238,4 @@ func init() {
 				Shape: "Manchester is threshold-free and tracks noise gracefully; NRZ cannot set a threshold from a single-bit slot (no level reference) and fails outright — which is exactly why the design Manchester-codes the feedback."}
 		},
 	})
-}
-
-// siModeBER measures feedback BER with a given SI strategy and a
-// multiplicative leak-calibration error.
-func siModeBER(a *Arena, mode reader.SIMode, leakErr float64, nBits int, seed uint64) float64 {
-	rd, err := a.Reader(reader.Config{SI: mode})
-	if err != nil {
-		panic(err)
-	}
-	src := a.Rand(seed)
-	const spb = 100
-	cfg := feedback.Config{SamplesPerBit: spb, Code: feedback.CodeManchester}
-	txAmp := math.Sqrt(0.1)
-	leakAmp := math.Sqrt(0.01)
-	const reflAmp = 0.002
-	tx, rx := a.IQPair(spb)
-	tx.Fill(complex(txAmp, 0))
-	// Calibrate with a deliberately wrong leak estimate.
-	calV := complex(leakAmp*(1+leakErr), 0) * complex(txAmp, 0)
-	rx.Fill(calV)
-	rd.Calibrate(rx, tx)
-	leakV := complex(leakAmp, 0) * complex(txAmp, 0)
-	reflV := leakV + complex(reflAmp, 0)*complex(txAmp, 0)
-	states0, states1 := a.BitStates(cfg)
-	base0, base1 := a.BasePair(spb)
-	fillBase(base0, states0, leakV, reflV)
-	fillBase(base1, states1, leakV, reflV)
-	errs := 0
-	for i := 0; i < nBits; i++ {
-		bit := src.Bit()
-		if bit == 1 {
-			copy(rx, base1)
-		} else {
-			copy(rx, base0)
-		}
-		src.FillNoise(rx, 2e-6)
-		got, _ := rd.DecodeFeedbackBit(rx, tx)
-		if got != bit {
-			errs++
-		}
-	}
-	return float64(errs) / float64(nBits)
-}
-
-// fbCodeBER measures feedback BER for a code at a noise level.
-func fbCodeBER(a *Arena, code feedback.Code, noiseW float64, nBits int, seed uint64) float64 {
-	rd, err := a.Reader(reader.Config{FeedbackCode: code})
-	if err != nil {
-		panic(err)
-	}
-	src := a.Rand(seed)
-	const spb = 100
-	cfg := feedback.Config{SamplesPerBit: spb, Code: code}
-	txAmp := math.Sqrt(0.1)
-	leakAmp := math.Sqrt(0.01)
-	const reflAmp = 0.002
-	tx, rx := a.IQPair(spb)
-	tx.Fill(complex(txAmp, 0))
-	leakV := complex(leakAmp, 0) * complex(txAmp, 0)
-	reflV := leakV + complex(reflAmp, 0)*complex(txAmp, 0)
-	states0, states1 := a.BitStates(cfg)
-	base0, base1 := a.BasePair(spb)
-	fillBase(base0, states0, leakV, reflV)
-	fillBase(base1, states1, leakV, reflV)
-	errs := 0
-	for i := 0; i < nBits; i++ {
-		bit := src.Bit()
-		if bit == 1 {
-			copy(rx, base1)
-		} else {
-			copy(rx, base0)
-		}
-		src.FillNoise(rx, noiseW)
-		got, _ := rd.DecodeFeedbackBit(rx, tx)
-		if got != bit {
-			errs++
-		}
-	}
-	return float64(errs) / float64(nBits)
 }

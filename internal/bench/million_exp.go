@@ -14,17 +14,6 @@ import (
 // the perf gate tracks through BENCH_baseline.json. Quick mode runs one
 // scaled-down point so CI exercises the identical code path cheaply.
 
-// mustRunParallel executes a scenario cell on the sharded engine with
-// one worker per CPU; the result is byte-identical at any worker count,
-// so bench output stays deterministic.
-func mustRunParallel(sc netsim.Scenario, seed uint64) *netsim.NetResult {
-	res, err := netsim.RunParallel(sc, seed, 0)
-	if err != nil {
-		panic("bench: scenario cell failed: " + err.Error())
-	}
-	return res
-}
-
 func init() {
 	register(Experiment{
 		ID:    "scen-million",
@@ -45,10 +34,10 @@ func init() {
 						panic("bench: " + err.Error())
 					}
 					sc.Tags = n
-					exact := mustRunParallel(sc, seed)
+					exact := mustRun(sc, seed, 0)
 					an := sc
 					an.Analytic = true
-					fast := mustRunParallel(an, seed)
+					fast := mustRun(an, seed, 0)
 					ratio := 0.0
 					if exact.Throughput() > 0 {
 						ratio = fast.Throughput() / exact.Throughput()

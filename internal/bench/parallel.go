@@ -31,49 +31,19 @@ type row = []trace.Cell
 // freely.
 type cellFunc func(a *Arena) row
 
-// cellEntry is one queued cell: either a standalone closure or one
-// index of a batch sharing a single function (addBatch), which avoids
-// a closure allocation per parameter point.
-type cellEntry struct {
-	fn    cellFunc
-	batch func(a *Arena, i int) row
-	i     int
-}
-
-func (c cellEntry) run(a *Arena) row {
-	if c.batch != nil {
-		return c.batch(a, c.i)
-	}
-	return c.fn(a)
-}
-
 // cellSet queues an experiment's independent cells and executes them
 // across a worker pool, emitting rows in submission order. Each worker
 // owns one scratch Arena for the whole run.
 type cellSet struct {
 	workers int
-	cells   []cellEntry
+	cells   []cellFunc
 }
 
 // cells returns a cellSet honouring cfg.Workers.
 func (c RunConfig) cells() *cellSet { return &cellSet{workers: c.Workers} }
 
 // add queues one cell.
-func (s *cellSet) add(fn cellFunc) { s.cells = append(s.cells, cellEntry{fn: fn}) }
-
-// addBatch queues n cells computed by one shared function of the cell
-// index. Use it when an experiment's parameter points live in a slice:
-// one closure serves the whole sweep.
-func (s *cellSet) addBatch(n int, fn func(a *Arena, i int) row) {
-	if cap(s.cells)-len(s.cells) < n {
-		grown := make([]cellEntry, len(s.cells), len(s.cells)+n)
-		copy(grown, s.cells)
-		s.cells = grown
-	}
-	for i := 0; i < n; i++ {
-		s.cells = append(s.cells, cellEntry{batch: fn, i: i})
-	}
-}
+func (s *cellSet) add(fn cellFunc) { s.cells = append(s.cells, fn) }
 
 // flushTo runs every queued cell and appends one row per cell to tbl,
 // in the order the cells were added, then empties the queue so the set
@@ -103,7 +73,7 @@ func (s *cellSet) run() []row {
 	if workers <= 1 {
 		a := newArena()
 		for i, c := range s.cells {
-			out[i] = c.run(a)
+			out[i] = c(a)
 		}
 		return out
 	}
@@ -119,7 +89,7 @@ func (s *cellSet) run() []row {
 				if i >= len(s.cells) {
 					return
 				}
-				out[i] = s.cells[i].run(a)
+				out[i] = s.cells[i](a)
 			}
 		}()
 	}

@@ -48,8 +48,8 @@ func init() {
 				fdSeed := subSeed(cfg.Seed, "scen-congestion-fd", fbits(load))
 				hdSeed := subSeed(cfg.Seed, "scen-congestion-hd", fbits(load))
 				cs.add(func(a *Arena) row {
-					fd := mustRun(congestionScenario("full-duplex", load, rounds), fdSeed)
-					hd := mustRun(congestionScenario("stop-and-wait", load, rounds), hdSeed)
+					fd := mustRun(congestionScenario("full-duplex", load, rounds), fdSeed, 1)
+					hd := mustRun(congestionScenario("stop-and-wait", load, rounds), hdSeed, 1)
 					ratio := 0.0
 					if hd.Throughput() > 0 {
 						ratio = fd.Throughput() / hd.Throughput()

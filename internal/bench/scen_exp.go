@@ -13,10 +13,13 @@ import (
 // is a pure function of (scenario, seed), so the sub-seed determinism of
 // the harness carries over unchanged.
 
-// mustRun executes a scenario cell; scenario errors are programming
-// errors in the experiment definitions, not data-dependent conditions.
-func mustRun(sc netsim.Scenario, seed uint64) *netsim.NetResult {
-	res, err := netsim.Run(sc, seed)
+// mustRun executes a scenario cell on the given number of engine
+// workers (<= 0: one per CPU; the result is byte-identical at any
+// count, so bench output stays deterministic). Scenario errors are
+// programming errors in the experiment definitions, not data-dependent
+// conditions.
+func mustRun(sc netsim.Scenario, seed uint64, workers int) *netsim.NetResult {
+	res, err := netsim.RunParallel(sc, seed, workers)
 	if err != nil {
 		panic("bench: scenario cell failed: " + err.Error())
 	}
@@ -42,10 +45,10 @@ func init() {
 						RadiusM: 3, FramesPerTag: frames, ContentionWindow: 16,
 						MaxRounds: rounds,
 					}
-					fd := mustRun(sc, fdSeed)
+					fd := mustRun(sc, fdSeed, 1)
 					sw := sc
 					sw.Protocol = "stop-and-wait"
-					hw := mustRun(sw, swSeed)
+					hw := mustRun(sw, swSeed, 1)
 					return a.RowV(n, fd.Throughput(), hw.Throughput(),
 						fd.DeliveryRate(), fd.CollisionFraction(), fd.FairnessIndex())
 				})
@@ -71,7 +74,7 @@ func init() {
 						Name: "range", Tags: 12, Topology: netsim.TopologyUniformDisc,
 						RadiusM: r, FramesPerTag: 4, MaxRounds: rounds,
 					}
-					res := mustRun(sc, seed)
+					res := mustRun(sc, seed, 1)
 					var outage float64
 					for _, t := range res.Tags {
 						outage += t.OutageFraction
@@ -103,10 +106,10 @@ func init() {
 						RadiusM: 12, FramesPerTag: 4, MaxRounds: rounds,
 						Readers: netsim.ReaderSpec{Count: n, Placement: netsim.ReaderGrid, SpacingM: 12},
 					}
-					indep := mustRun(sc, iSeed)
+					indep := mustRun(sc, iSeed, 1)
 					td := sc
 					td.Readers.Scheduling = netsim.SchedulingTDM
-					tdm := mustRun(td, tSeed)
+					tdm := mustRun(td, tSeed, 1)
 					return a.RowV(n, indep.Throughput(), tdm.Throughput(),
 						indep.MeanSNRdB(), tdm.MeanSNRdB(),
 						indep.DeliveryRate(), indep.FairnessIndex())
@@ -138,7 +141,7 @@ func init() {
 							Model: netsim.MobilityWaypoint, StepM: step, EpochRounds: 4,
 						}
 					}
-					res := mustRun(sc, seed)
+					res := mustRun(sc, seed, 1)
 					return a.RowV(step, res.DeliveryRate(), res.Throughput(),
 						res.FairnessIndex(), res.MeanSNRdB(), res.AliveFraction())
 				})
@@ -164,7 +167,7 @@ func init() {
 						Name: "energy", Tags: 16, Topology: netsim.TopologyClustered,
 						RadiusM: 6, Clusters: 4, OfferedLoad: load, MaxRounds: rounds,
 					}
-					res := mustRun(sc, seed)
+					res := mustRun(sc, seed, 1)
 					lifeFrac := 0.0
 					if res.SimulatedS > 0 {
 						lifeFrac = res.MeanLifetimeS() / res.SimulatedS

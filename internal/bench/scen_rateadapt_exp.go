@@ -42,9 +42,9 @@ func init() {
 				arfSeed := subSeed(cfg.Seed, "scen-rateadapt-arf", fbits(rho))
 				fixSeed := subSeed(cfg.Seed, "scen-rateadapt-fixed", fbits(rho))
 				cs.add(func(a *Arena) row {
-					fd := mustRun(rateAdaptScenario(netsim.RateAdaptFD, rho, rounds), fdSeed)
-					arf := mustRun(rateAdaptScenario(netsim.RateAdaptARF, rho, rounds), arfSeed)
-					fix := mustRun(rateAdaptScenario(netsim.RateAdaptFixed, rho, rounds), fixSeed)
+					fd := mustRun(rateAdaptScenario(netsim.RateAdaptFD, rho, rounds), fdSeed, 1)
+					arf := mustRun(rateAdaptScenario(netsim.RateAdaptARF, rho, rounds), arfSeed, 1)
+					fix := mustRun(rateAdaptScenario(netsim.RateAdaptFixed, rho, rounds), fixSeed, 1)
 					return a.RowV(rho, fd.Throughput(), arf.Throughput(), fix.Throughput(),
 						fd.Throughput()-arf.Throughput(),
 						fd.AdaptLagFraction(), arf.AdaptLagFraction())
@@ -67,7 +67,7 @@ func init() {
 			for _, rho := range []float64{0, 0.5, 0.9, 0.97, 0.995} {
 				seed := subSeed(cfg.Seed, "scen-fading", fbits(rho))
 				cs.add(func(a *Arena) row {
-					res := mustRun(rateAdaptScenario(netsim.RateAdaptFD, rho, rounds), seed)
+					res := mustRun(rateAdaptScenario(netsim.RateAdaptFD, rho, rounds), seed, 1)
 					return a.RowV(rho, res.Throughput(), res.DeliveryRate(),
 						res.MeanRateMult(), res.AdaptLagFraction(),
 						res.RateSwitches, res.AliveFraction())

@@ -28,8 +28,6 @@ import (
 type LinkConfig struct {
 	// Modem is the forward OOK modem (shared by reader and tag).
 	Modem phy.OOK
-	// Code is the forward line code (default "fm0").
-	Code string
 	// SampleRate in Hz (default 1e6).
 	SampleRate float64
 	// TxPowerW is the reader transmit power in watts; the waveform is
@@ -92,9 +90,6 @@ type InterfererConfig struct {
 
 // applyDefaults fills zero fields.
 func (c *LinkConfig) applyDefaults() {
-	if c.Code == "" {
-		c.Code = "fm0"
-	}
 	if c.SampleRate <= 0 {
 		c.SampleRate = 1e6
 	}
@@ -168,10 +163,10 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 func (l *Link) Reconfigure(cfg LinkConfig) error {
 	cfg.applyDefaults()
 	rdCfg := reader.Config{
-		Modem: cfg.Modem, Code: cfg.Code, SI: cfg.SI, FeedbackCode: cfg.FeedbackCode,
+		Modem: cfg.Modem, SI: cfg.SI, FeedbackCode: cfg.FeedbackCode,
 	}
 	tgCfg := tag.Config{
-		Modem: cfg.Modem, Code: cfg.Code, Rho: cfg.Rho,
+		Modem: cfg.Modem, Rho: cfg.Rho,
 		DetectorCutoffHz: cfg.DetectorCutoffHz, SampleRate: cfg.SampleRate,
 		Harvester: cfg.Harvester, Capacitor: cfg.Capacitor, CircuitW: cfg.CircuitW,
 	}

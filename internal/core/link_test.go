@@ -350,9 +350,6 @@ func TestDetectorRCLink(t *testing.T) {
 }
 
 func TestBadConfigRejected(t *testing.T) {
-	if _, err := NewLink(LinkConfig{Code: "nope"}); err == nil {
-		t.Fatal("bad code must error")
-	}
 	if _, err := NewLink(LinkConfig{Rho: 5}); err == nil {
 		t.Fatal("bad rho must error")
 	}

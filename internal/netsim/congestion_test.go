@@ -43,11 +43,11 @@ func TestCongestionWindowBounds(t *testing.T) {
 	for si, sc := range congScenarios() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			var probeErr error
-			probe := func(round int, dt float64, st roundState) {
-				if probeErr != nil || st.cong == nil {
+			check := func(e *engine, round int) {
+				if probeErr != nil || e.cong == nil {
 					return
 				}
-				c := st.cong
+				c := e.cong
 				for i := range c.cwnd {
 					if c.cwnd[i] < 1 || c.cwnd[i] > c.queueCap {
 						probeErr = fmt.Errorf("round %d tag %d: cwnd %g outside [1, %g]", round, i, c.cwnd[i], c.queueCap)
@@ -67,7 +67,7 @@ func TestCongestionWindowBounds(t *testing.T) {
 					}
 				}
 			}
-			if _, err := run(sc, seed, 1, probe, nil); err != nil {
+			if _, err := runProbed(sc, seed, check); err != nil {
 				t.Fatalf("scenario %d seed %d: %v", si, seed, err)
 			}
 			if probeErr != nil {
@@ -85,15 +85,15 @@ func TestCongestionConservation(t *testing.T) {
 	for si, sc := range congScenarios() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			var probeErr error
-			probe := func(round int, dt float64, st roundState) {
+			check := func(e *engine, round int) {
 				if probeErr != nil {
 					return
 				}
-				for i := range st.stats {
-					ts := &st.stats[i]
-					held := int(st.queue[i])
-					if st.cong != nil {
-						held += int(st.cong.retxQ[i])
+				for i := range e.tags.stats {
+					ts := &e.tags.stats[i]
+					held := int(e.tags.queue[i])
+					if e.cong != nil {
+						held += int(e.cong.retxQ[i])
 					}
 					if ts.FramesOffered != ts.FramesDelivered+ts.FramesDropped+held {
 						probeErr = fmt.Errorf("round %d tag %d: offered %d != delivered %d + dropped %d + held %d",
@@ -102,7 +102,7 @@ func TestCongestionConservation(t *testing.T) {
 					}
 				}
 			}
-			res, err := run(sc, seed, 1, probe, nil)
+			res, err := runProbed(sc, seed, check)
 			if err != nil {
 				t.Fatalf("scenario %d seed %d: %v", si, seed, err)
 			}
@@ -136,11 +136,11 @@ func TestRTOFloorUnderZeroVariance(t *testing.T) {
 	}
 	var sawSample bool
 	var probeErr error
-	probe := func(round int, dt float64, st roundState) {
-		if probeErr != nil || st.cong == nil {
+	check := func(e *engine, round int) {
+		if probeErr != nil || e.cong == nil {
 			return
 		}
-		c := st.cong
+		c := e.cong
 		if c.srtt[0] > 0 {
 			sawSample = true
 			if c.rto[0] < c.rtoMin {
@@ -149,7 +149,7 @@ func TestRTOFloorUnderZeroVariance(t *testing.T) {
 			}
 		}
 	}
-	res, err := run(sc, 3, 1, probe, nil)
+	res, err := runProbed(sc, 3, check)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -336,27 +337,16 @@ func (r *NetResult) FairnessIndex() float64 {
 	return sum * sum / (n * sumSq)
 }
 
-// roundState is the engine state a roundProbe observes: struct-of-array
-// views over the live per-tag columns, valid only for the duration of
-// the probe call and read-only for the probe.
-type roundState struct {
-	txCount  []int32   // frames transmitted this round (pre-reset)
-	txDt     []float64 // seconds spent transmitting this round (pre-reset)
-	alive    []bool
-	harvestW []float64 // effective harvest power settled this round
-	queue    []int32   // frames awaiting delivery after this round
-	reader   []int32   // serving reader after this round
-	stats    []TagStats
-	cong     *congState // live congestion columns (nil when disabled)
-	// rateChunks is the live per-tag rate histogram, row-major
-	// [tag*rates+rate] (nil when rate adaptation is disabled).
-	rateChunks []int64
+// observer watches a run from inside its round loop: init once the
+// engine is built, observe after each round's energy settlement and
+// before the per-round transmit accumulators (txCount, txDt) reset.
+// Observers only read the engine and draw no randomness, so an observed
+// run computes exactly what an unobserved one does; a non-nil error
+// from observe aborts the run with that error.
+type observer interface {
+	init(e *engine)
+	observe(e *engine, round int) error
 }
-
-// roundProbe observes the engine at each round's energy settlement:
-// the round index, the settled wall-clock dt, and the SoA state views.
-// Test-only hook; production runs pass nil.
-type roundProbe func(round int, dt float64, st roundState)
 
 // engine holds one run's state: the tag arrays plus every piece of
 // scratch the round loop reuses, so steady-state rounds allocate
@@ -452,14 +442,16 @@ type shardTotals struct {
 }
 
 // Run executes the scenario deterministically under the given seed.
-func Run(sc Scenario, seed uint64) (*NetResult, error) { return run(sc, seed, 1, nil, nil) }
+func Run(sc Scenario, seed uint64) (*NetResult, error) {
+	return run(context.Background(), sc, seed, 1, nil)
+}
 
 // RunParallel executes the scenario across the given number of engine
 // workers (<= 0 selects one per CPU). The result is byte-identical to
 // Run: sharding only changes which goroutine executes each reader cell
 // and tag range, never what they compute or which stream they draw.
 func RunParallel(sc Scenario, seed uint64, workers int) (*NetResult, error) {
-	return run(sc, seed, workers, nil, nil)
+	return run(context.Background(), sc, seed, workers, nil)
 }
 
 // ResolveWorkers maps the CLI convention (<= 0 means one worker per
@@ -471,12 +463,12 @@ func ResolveWorkers(n int) int {
 	return n
 }
 
-// run drives one engine through its rounds. Batch Run/RunParallel,
-// streaming (st non-nil) and the test round probe all share this loop;
-// the engine itself is built by newEngine, advanced by step and
-// finalised by finish. The serial streams live here, on the
-// dispatching goroutine, and are lent to the phases that draw them.
-func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) (*NetResult, error) {
+// run drives one engine through its rounds. Batch Run/RunParallel
+// (obs nil) and streaming (obs a *streamer) share this loop; the engine
+// itself is built by newEngine, advanced by step and finalised by
+// finish. The serial streams live here, on the dispatching goroutine,
+// and are lent to the phases that draw them.
+func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs observer) (*NetResult, error) {
 	// One random tree, split in fixed order; every source below is
 	// always split even when unused (a static run still splits the
 	// mobility source) so the per-tag streams never depend on which
@@ -503,30 +495,22 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 	if e.flt != nil {
 		faultSrc = simrand.New(faultSeed(seed)) //fdlint:serial
 	}
-	if st != nil {
-		st.init(e)
+	if obs != nil {
+		obs.init(e)
 	}
 	for round := 0; round < e.sc.MaxRounds; round++ {
-		if st != nil {
-			// Streaming runs are cancellable between rounds: a client
-			// disconnect (or service shutdown) aborts here, before any
-			// further work, and the engine tears down cleanly through
-			// the deferred pool stop.
-			if err := st.ctx.Err(); err != nil {
-				return nil, err
-			}
+		// Runs are cancellable between rounds: a client disconnect (or
+		// service shutdown) aborts here, before any further work, and
+		// the engine tears down cleanly through the deferred pool stop.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if !e.step(round, trafficSrc, slotSrc, faultSrc, walk, probe) {
+		ran, err := e.step(round, trafficSrc, slotSrc, faultSrc, walk, obs)
+		if err != nil {
+			return nil, err
+		}
+		if !ran {
 			break
-		}
-		if st != nil {
-			// Observation only: the snapshot reads settled state and
-			// consumes no randomness, so streaming never perturbs the
-			// batch byte-identity contract. A sink error (the client
-			// hung up mid-write) aborts exactly like a cancellation.
-			if err := st.observe(e, round); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return e.finish(), nil
@@ -654,16 +638,16 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 // previous round stops before opening another window. The serial
 // streams draw arrivals, slots and fault transitions (faults is nil
 // without fault injection), walk moves tags each epoch (nil when
-// static), and probe, when non-nil, observes the settled round before
-// the per-round transmit accumulators reset.
-func (e *engine) step(round int, traffic, slots, faults *simrand.Source, walk *waypointWalk, probe roundProbe) bool {
+// static), and obs, when non-nil, observes the settled round; its
+// error aborts the round.
+func (e *engine) step(round int, traffic, slots, faults *simrand.Source, walk *waypointWalk, obs observer) (bool, error) {
 	sc := &e.sc
 	t := &e.tags
 	res := e.res
 	if sc.OfferedLoad == 0 && !e.anyQueued {
 		// Check before counting the round so Rounds reports only
 		// rounds that actually opened a window.
-		return false
+		return false, nil
 	}
 	res.Rounds = round + 1
 	e.curRound = round
@@ -790,19 +774,14 @@ func (e *engine) step(round int, traffic, slots, faults *simrand.Source, walk *w
 	e.pool.dispatch(phaseSettle)
 	e.anyQueued = e.pool.anyQueued.Load()
 
-	if probe != nil {
-		st := roundState{
-			txCount: t.txCount, txDt: t.txDt, alive: t.alive, harvestW: e.harvest,
-			queue: t.queue, reader: t.reader, stats: t.stats, cong: e.cong,
+	if obs != nil {
+		if err := obs.observe(e, round); err != nil {
+			return false, err
 		}
-		if e.fade != nil {
-			st.rateChunks = e.fade.rateChunks
-		}
-		probe(round, e.settleDt, st)
 	}
 	clear(t.txCount)
 	clear(t.txDt)
-	return true
+	return true, nil
 }
 
 // frameTotals returns the run's cumulative offered, delivered and
@@ -1189,7 +1168,7 @@ func (e *engine) tallyShard(lo, hi int) {
 // drainShard is the parallel body of the end-of-run finalisation for
 // tags [lo, hi): adaptation stats, outage, lifetime, and the shard's
 // integer partials of the adaptation and congestion totals and the
-// per-reader drain counters.
+// per-reader drain counters (the residual backlog is tallyShard's).
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1200,14 +1179,11 @@ func (e *engine) drainShard(lo, hi int) {
 	R := len(e.readers)
 	p := &e.tot[s]
 	*p = shardTotals{}
-	qd := e.totQDepth[s*R : (s+1)*R]
+	e.tallyShard(lo, hi)
 	to := e.totTimeouts[s*R : (s+1)*R]
-	clear(qd)
 	clear(to)
 	for i := lo; i < hi; i++ {
 		ts := &t.stats[i]
-		r := t.reader[i]
-		qd[r] += int64(t.queue[i])
 		if f := e.fade; f != nil {
 			p.rateSwitches += f.switches[i]
 			p.adaptChunks += f.chunks[i]
@@ -1226,8 +1202,7 @@ func (e *engine) drainShard(lo, hi int) {
 			p.timeouts += int64(c.timeouts[i])
 			p.retx += int64(c.retxCount[i])
 			p.retxDropped += int64(c.retxDrops[i])
-			qd[r] += int64(c.retxQ[i])
-			to[r] += int64(c.timeouts[i])
+			to[t.reader[i]] += int64(c.timeouts[i])
 			ts.Timeouts = int(c.timeouts[i])
 			ts.Retransmissions = int(c.retxCount[i])
 			ts.RetxDropped = int(c.retxDrops[i])

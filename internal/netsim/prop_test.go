@@ -6,9 +6,27 @@ package netsim
 // golden value.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
+
+// probe is a test observer: a check run against the engine's live
+// columns after every round's energy settlement, before the per-round
+// transmit accumulators reset.
+type probe func(e *engine, round int)
+
+func (probe) init(*engine) {}
+
+func (p probe) observe(e *engine, round int) error {
+	p(e, round)
+	return nil
+}
+
+// runProbed runs the scenario serially under a probe.
+func runProbed(sc Scenario, seed uint64, p probe) (*NetResult, error) {
+	return run(context.Background(), sc, seed, 1, p)
+}
 
 // propScenarios is a spread of engine configurations covering closed
 // and open loop, every scheduling mode, mobility, and rho = 1 (the
@@ -37,10 +55,11 @@ func TestEnergySettlementInvariants(t *testing.T) {
 			for i := range prevAlive {
 				prevAlive[i] = true
 			}
-			probe := func(round int, dt float64, st roundState) {
+			check := func(e *engine, round int) {
 				if probeErr != nil {
 					return
 				}
+				st, dt := &e.tags, e.settleDt
 				if dt <= 0 {
 					probeErr = fmt.Errorf("round %d settled over non-positive dt %g", round, dt)
 					return
@@ -56,8 +75,8 @@ func TestEnergySettlementInvariants(t *testing.T) {
 					// The rho/2 Manchester-duty reflection loss removes at
 					// most half the incident power even at rho = 1: the
 					// harvest input stays physical.
-					if st.harvestW[i] < 0 {
-						probeErr = fmt.Errorf("round %d tag %d: negative harvest power %g", round, i, st.harvestW[i])
+					if e.harvest[i] < 0 {
+						probeErr = fmt.Errorf("round %d tag %d: negative harvest power %g", round, i, e.harvest[i])
 						return
 					}
 					// Brown-out death is latched: once a tag dies it stays
@@ -69,7 +88,7 @@ func TestEnergySettlementInvariants(t *testing.T) {
 					prevAlive[i] = st.alive[i]
 				}
 			}
-			if _, err := run(sc, seed, 1, probe, nil); err != nil {
+			if _, err := runProbed(sc, seed, check); err != nil {
 				t.Fatalf("scenario %d seed %d: %v", si, seed, err)
 			}
 			if probeErr != nil {

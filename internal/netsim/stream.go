@@ -129,16 +129,14 @@ func RunStreamOptions(ctx context.Context, sc Scenario, seed uint64, opts Stream
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := &streamer{ctx: ctx, sink: sink, start: opts.StartRound}
-	return run(sc, seed, opts.Workers, nil, st)
+	return run(ctx, sc, seed, opts.Workers, &streamer{sink: sink, start: opts.StartRound})
 }
 
-// streamer holds the per-run streaming state: the previous round's
-// cumulative counters (so deltas cost one subtraction) and the reused
-// snapshot buffers. All reads happen between rounds on the dispatching
-// goroutine, so no synchronisation is needed.
+// streamer is the engine observer behind RunStream: it holds the
+// previous round's cumulative counters (so deltas cost one subtraction)
+// and the reused snapshot buffers. All reads happen between phases on
+// the dispatching goroutine, so no synchronisation is needed.
 type streamer struct {
-	ctx   context.Context
 	sink  SnapshotSink
 	start int
 

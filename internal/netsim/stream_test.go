@@ -135,8 +135,9 @@ type streamRecount struct {
 	rate                        []int64 // cumulative per-rate chunks
 }
 
-func recountTags(st roundState, readers int) streamRecount {
-	rc := streamRecount{qdepth: make([]int64, readers)}
+func recountTags(e *engine) streamRecount {
+	st := &e.tags
+	rc := streamRecount{qdepth: make([]int64, len(e.readers))}
 	for i := range st.stats {
 		ts := &st.stats[i]
 		rc.offered += int64(ts.FramesOffered)
@@ -146,19 +147,37 @@ func recountTags(st roundState, readers int) streamRecount {
 			rc.alive++
 		}
 		q := int64(st.queue[i])
-		if st.cong != nil {
-			q += int64(st.cong.retxQ[i])
+		if e.cong != nil {
+			q += int64(e.cong.retxQ[i])
 		}
 		rc.qdepth[st.reader[i]] += q
 	}
-	if st.rateChunks != nil {
-		nr := len(st.rateChunks) / len(st.stats)
+	if f := e.fade; f != nil {
+		nr := f.nr
 		rc.rate = make([]int64, nr)
-		for i, c := range st.rateChunks {
+		for i, c := range f.rateChunks {
 			rc.rate[i%nr] += c
 		}
 	}
 	return rc
+}
+
+// tee chains test observers: each sees every round, in order.
+type tee []observer
+
+func (o tee) init(e *engine) {
+	for _, x := range o {
+		x.init(e)
+	}
+}
+
+func (o tee) observe(e *engine, round int) error {
+	for _, x := range o {
+		if err := x.observe(e, round); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestRunStreamSnapshotsMatchRecount: every round's snapshot totals —
@@ -188,16 +207,14 @@ func TestRunStreamSnapshotsMatchRecount(t *testing.T) {
 	analytic.Analytic = true
 	for _, sc := range append(cases, dock, flood, analytic) {
 		for _, workers := range []int{1, 2, 8} {
-			// The probe fires after settlement, just before the snapshot
-			// of the same round is taken; the sink recounts from the
-			// live columns it saw.
-			var live roundState
-			probe := func(round int, dt float64, st roundState) { live = st }
+			// The probe recounts the settled columns just before the
+			// streamer snapshots the same round; the sink compares.
+			var want streamRecount
+			recount := probe(func(e *engine, round int) { want = recountTags(e) })
 			var rate []int64
 			rounds := 0
 			sink := func(s *RoundSnapshot) error {
 				rounds++
-				want := recountTags(live, len(s.Readers))
 				if s.FramesOffered != want.offered || s.FramesDelivered != want.delivered ||
 					s.FramesDropped != want.dropped || s.AliveTags != want.alive {
 					return fmt.Errorf("round %d: snapshot offered/delivered/dropped/alive %d/%d/%d/%d, recount %d/%d/%d/%d",
@@ -223,13 +240,64 @@ func TestRunStreamSnapshotsMatchRecount(t *testing.T) {
 				}
 				return nil
 			}
-			st := &streamer{ctx: context.Background(), sink: sink}
-			res, err := run(sc, 3, workers, probe, st)
+			res, err := run(context.Background(), sc, 3, workers, tee{recount, &streamer{sink: sink}})
 			if err != nil {
 				t.Fatalf("%s at %d workers: %v", sc.Name, workers, err)
 			}
 			if rounds != res.Rounds || rounds == 0 {
 				t.Fatalf("%s at %d workers: %d snapshots for %d rounds", sc.Name, workers, rounds, res.Rounds)
+			}
+		}
+	}
+}
+
+// TestRunStreamFinalStateMatchesResult: the last snapshot's gauges —
+// per-reader backlog and live tags — equal the final result's, at
+// every worker count. The snapshot takes them from the settle tally and
+// the result from the drain phase, which reuses that tally.
+func TestRunStreamFinalStateMatchesResult(t *testing.T) {
+	var cases []Scenario
+	for _, name := range []string{"congested-dock", "outage-retail", "warehouse", "million"} {
+		sc, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "million" {
+			sc.Tags = 3*tagShardLen + 17
+		}
+		cases = append(cases, sc)
+	}
+	for _, sc := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			var qdepth []int64
+			alive := 0
+			res, err := RunStreamOptions(context.Background(), sc, 3, StreamOptions{Workers: workers}, func(s *RoundSnapshot) error {
+				qdepth = qdepth[:0]
+				for _, rr := range s.Readers {
+					qdepth = append(qdepth, rr.QueueDepth)
+				}
+				alive = s.AliveTags
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", sc.Name, workers, err)
+			}
+			if len(qdepth) != len(res.Readers) {
+				t.Fatalf("%s at %d workers: last snapshot has %d readers, result %d", sc.Name, workers, len(qdepth), len(res.Readers))
+			}
+			for r, rs := range res.Readers {
+				if qdepth[r] != rs.QueueDepth {
+					t.Errorf("%s at %d workers reader %d: last snapshot queue depth %d, result %d", sc.Name, workers, r, qdepth[r], rs.QueueDepth)
+				}
+			}
+			live := 0
+			for _, ts := range res.Tags {
+				if ts.Alive {
+					live++
+				}
+			}
+			if alive != live {
+				t.Errorf("%s at %d workers: last snapshot has %d live tags, result %d", sc.Name, workers, alive, live)
 			}
 		}
 	}

@@ -484,7 +484,7 @@ func TestSelfTestSmoke(t *testing.T) {
 		t.Skip("load harness")
 	}
 	var out bytes.Buffer
-	err := SelfTest(SelfTestConfig{Runs: 24, MaxConcurrent: 3, Seeds: 2}, &out)
+	err := SelfTest(SelfTestConfig{Runs: 24, MaxConcurrent: 3}, &out)
 	if err != nil {
 		t.Fatalf("SelfTest: %v\n%s", err, out.String())
 	}

@@ -34,11 +34,13 @@ type SelfTestConfig struct {
 	// MaxConcurrent is the admission limit of the server under test
 	// (default 8) — far below Runs, so rejection is exercised.
 	MaxConcurrent int
-	// Workers is the engine worker count per run (default 1).
+	// Workers is the engine worker count per run (<= 0: one per CPU),
+	// passed to the server under test unchanged.
 	Workers int
-	// Seeds is the number of distinct seeds per scenario (default 4).
-	Seeds int
 }
+
+// selfTestSeeds is the number of distinct seeds per scenario.
+const selfTestSeeds = 4
 
 func (c *SelfTestConfig) applyDefaults() {
 	if c.Runs <= 0 {
@@ -46,12 +48,6 @@ func (c *SelfTestConfig) applyDefaults() {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 8
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 4
 	}
 }
 
@@ -89,7 +85,7 @@ func SelfTest(cfg SelfTestConfig, logw io.Writer) error {
 	}
 	refs := make(map[string][]byte)
 	var jobs []job
-	for si, name := range selfTestPresets {
+	for _, name := range selfTestPresets {
 		sc, err := netsim.Preset(name)
 		if err != nil {
 			return err
@@ -98,7 +94,7 @@ func SelfTest(cfg SelfTestConfig, logw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for s := 0; s < cfg.Seeds; s++ {
+		for s := 0; s < selfTestSeeds; s++ {
 			seed := uint64(1 + s)
 			var buf bytes.Buffer
 			if _, err := srv.ReferenceStream(body, seed, &buf); err != nil {
@@ -107,11 +103,10 @@ func SelfTest(cfg SelfTestConfig, logw io.Writer) error {
 			key := fmt.Sprintf("%s/%d", name, seed)
 			refs[key] = buf.Bytes()
 			jobs = append(jobs, job{body: body, seed: seed, key: key})
-			_ = si
 		}
 	}
 	logf("selftest: %d reference streams computed (%d scenarios x %d seeds)",
-		len(refs), len(selfTestPresets), cfg.Seeds)
+		len(refs), len(selfTestPresets), selfTestSeeds)
 
 	// Phase 1 — admission probe: pin every engine slot with held
 	// streams, then demand a 429 with Retry-After. Deterministic: with
@@ -225,7 +220,7 @@ func SelfTest(cfg SelfTestConfig, logw io.Writer) error {
 		mismatch  atomic.Int64
 		completed atomic.Int64
 	)
-	fail := func(err error) { firstErr.CompareAndSwap(nil, err); _ = err }
+	fail := func(err error) { firstErr.CompareAndSwap(nil, err) }
 	for i := 0; i < cfg.Runs; i++ {
 		j := jobs[i%len(jobs)]
 		wg.Add(1)

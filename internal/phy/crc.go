@@ -1,8 +1,8 @@
 // Package phy implements the forward-link physical layer of the
 // full-duplex backscatter system: OOK modulation with configurable
 // modulation depth (the carrier never fully extinguishes, keeping the tag
-// powered and the feedback channel alive), RFID-style line codes
-// (NRZ, Manchester, FM0), chunked frame formats with per-chunk CRCs
+// powered and the feedback channel alive), the RFID-style FM0 line code
+// (plus Manchester), chunked frame formats with per-chunk CRCs
 // (the hooks instantaneous feedback attaches to), and preamble
 // detection/symbol timing.
 package phy

@@ -1,59 +1,15 @@
 package phy
 
-import "fmt"
-
-// LineCode maps data bits to on-air chips and back. Backscatter links use
-// DC-balanced codes (Manchester, FM0) so the tag's threshold tracker
-// sees both levels often; NRZ is included as the baseline/ablation code.
+// The forward link's line codes map data bits to on-air chips and back.
+// Backscatter links use DC-balanced codes so the tag's threshold tracker
+// sees both levels often: the link runs FM0, and Manchester is kept as
+// the other bi-phase code.
 //
 // Encode appends chip values (0 or 1, one per byte) for the given bits
 // (one per byte) to dst. Decode converts per-chip soft levels (averaged
 // envelope amplitudes) back to bits, appending to dst; threshold is the
-// level separating high from low chips (differential codes ignore it).
-type LineCode interface {
-	// Name identifies the code in logs and experiment tables.
-	Name() string
-	// ChipsPerBit returns the fixed chip expansion factor.
-	ChipsPerBit() int
-	// Encode appends the chips for bits to dst and returns it.
-	Encode(bits []byte, dst []byte) []byte
-	// Decode appends the bits recovered from per-chip levels to dst and
-	// returns it. len(levels) should be a multiple of ChipsPerBit;
-	// trailing partial groups are ignored.
-	Decode(levels []float64, threshold float64, dst []byte) []byte
-}
-
-// NRZ is the trivial one-chip-per-bit code.
-type NRZ struct{}
-
-// Name implements LineCode.
-func (NRZ) Name() string { return "nrz" }
-
-// ChipsPerBit implements LineCode.
-func (NRZ) ChipsPerBit() int { return 1 }
-
-// Encode implements LineCode.
-func (NRZ) Encode(bits []byte, dst []byte) []byte {
-	for _, b := range bits {
-		dst = append(dst, b&1)
-	}
-	return dst
-}
-
-// Decode implements LineCode.
-func (NRZ) Decode(levels []float64, threshold float64, dst []byte) []byte {
-	if threshold <= 0 {
-		threshold = midpointThreshold(levels)
-	}
-	for _, v := range levels {
-		if v > threshold {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	return dst
-}
+// level separating high from low chips (a threshold <= 0 asks the
+// decoder to derive its own). Trailing partial chip groups are ignored.
 
 // midpointThreshold derives a slicing threshold as the midpoint between
 // the lowest and highest observed levels. Valid whenever both chip levels
@@ -79,13 +35,10 @@ func midpointThreshold(levels []float64) float64 {
 // the two half-chips, so it needs no absolute threshold.
 type Manchester struct{}
 
-// Name implements LineCode.
-func (Manchester) Name() string { return "manchester" }
-
-// ChipsPerBit implements LineCode.
+// ChipsPerBit returns the fixed chip expansion factor.
 func (Manchester) ChipsPerBit() int { return 2 }
 
-// Encode implements LineCode.
+// Encode appends the chips for bits to dst and returns it.
 func (Manchester) Encode(bits []byte, dst []byte) []byte {
 	for _, b := range bits {
 		if b&1 == 1 {
@@ -97,7 +50,8 @@ func (Manchester) Encode(bits []byte, dst []byte) []byte {
 	return dst
 }
 
-// Decode implements LineCode.
+// Decode appends the bits recovered from per-chip levels to dst and
+// returns it; the threshold is ignored.
 func (Manchester) Decode(levels []float64, _ float64, dst []byte) []byte {
 	for i := 0; i+1 < len(levels); i += 2 {
 		if levels[i] > levels[i+1] {
@@ -119,16 +73,14 @@ type FM0 struct {
 	level byte
 }
 
-// Name implements LineCode.
-func (*FM0) Name() string { return "fm0" }
-
-// ChipsPerBit implements LineCode.
+// ChipsPerBit returns the fixed chip expansion factor.
 func (*FM0) ChipsPerBit() int { return 2 }
 
 // Reset returns the encoder to the initial line level.
 func (f *FM0) Reset() { f.level = 0 }
 
-// Encode implements LineCode.
+// Encode appends the chips for bits to dst and returns it, continuing
+// from the line level the previous call left.
 func (f *FM0) Encode(bits []byte, dst []byte) []byte {
 	for _, b := range bits {
 		f.level ^= 1 // invert at bit boundary
@@ -143,7 +95,8 @@ func (f *FM0) Encode(bits []byte, dst []byte) []byte {
 	return dst
 }
 
-// Decode implements LineCode.
+// Decode appends the bits recovered from per-chip levels to dst and
+// returns it.
 func (*FM0) Decode(levels []float64, threshold float64, dst []byte) []byte {
 	if threshold <= 0 {
 		// FM0 inverts at every bit boundary, so any multi-bit window
@@ -161,18 +114,4 @@ func (*FM0) Decode(levels []float64, threshold float64, dst []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// CodeByName returns a fresh line code instance for the given name.
-func CodeByName(name string) (LineCode, error) {
-	switch name {
-	case "nrz":
-		return NRZ{}, nil
-	case "manchester":
-		return Manchester{}, nil
-	case "fm0":
-		return &FM0{}, nil
-	default:
-		return nil, fmt.Errorf("phy: unknown line code %q", name)
-	}
 }

@@ -34,32 +34,50 @@ func randomBits(n int, seed uint64) []byte {
 	return bits
 }
 
+// lineCode is the method set the forward codes share, so the
+// round-trip tests can run every code through one loop.
+type lineCode interface {
+	ChipsPerBit() int
+	Encode(bits []byte, dst []byte) []byte
+	Decode(levels []float64, threshold float64, dst []byte) []byte
+}
+
+// namedCode pairs a forward code with its name for failure messages.
+type namedCode struct {
+	name string
+	code lineCode
+}
+
+// lineCodes returns fresh instances of every forward code.
+func lineCodes() []namedCode {
+	return []namedCode{{"manchester", Manchester{}}, {"fm0", &FM0{}}}
+}
+
 func TestAllCodesRoundTrip(t *testing.T) {
-	codes := []LineCode{NRZ{}, Manchester{}, &FM0{}}
 	bits := randomBits(256, 1)
-	for _, code := range codes {
+	for _, c := range lineCodes() {
+		code := c.code
 		chips := code.Encode(bits, nil)
 		if len(chips) != len(bits)*code.ChipsPerBit() {
-			t.Fatalf("%s: chip count %d, want %d", code.Name(), len(chips), len(bits)*code.ChipsPerBit())
+			t.Fatalf("%s: chip count %d, want %d", c.name, len(chips), len(bits)*code.ChipsPerBit())
 		}
 		levels := chipsToLevels(chips, 1.0, 0.25, 0, nil)
 		got := code.Decode(levels, 0.625, nil)
 		if !bytes.Equal(got, bits) {
-			t.Fatalf("%s: round trip failed", code.Name())
+			t.Fatalf("%s: round trip failed", c.name)
 		}
 	}
 }
 
 func TestCodesRoundTripAutoThreshold(t *testing.T) {
 	// Threshold <= 0 asks the decoder to derive its own.
-	codes := []LineCode{NRZ{}, Manchester{}, &FM0{}}
 	bits := randomBits(128, 2)
-	for _, code := range codes {
-		chips := code.Encode(bits, nil)
+	for _, c := range lineCodes() {
+		chips := c.code.Encode(bits, nil)
 		levels := chipsToLevels(chips, 0.9, 0.7, 0, nil) // shallow depth
-		got := code.Decode(levels, 0, nil)
+		got := c.code.Decode(levels, 0, nil)
 		if !bytes.Equal(got, bits) {
-			t.Fatalf("%s: auto-threshold round trip failed", code.Name())
+			t.Fatalf("%s: auto-threshold round trip failed", c.name)
 		}
 	}
 }
@@ -70,10 +88,10 @@ func TestRoundTripProperty(t *testing.T) {
 		for i, b := range data {
 			bits[i] = b & 1
 		}
-		for _, code := range []LineCode{NRZ{}, Manchester{}, &FM0{}} {
-			chips := code.Encode(bits, nil)
+		for _, c := range lineCodes() {
+			chips := c.code.Encode(bits, nil)
 			levels := chipsToLevels(chips, 1, 0, 0, nil)
-			got := code.Decode(levels, 0.5, nil)
+			got := c.code.Decode(levels, 0.5, nil)
 			if !bytes.Equal(got, bits) {
 				return false
 			}
@@ -173,18 +191,6 @@ func TestDecodeIgnoresTrailingPartialGroup(t *testing.T) {
 	got := Manchester{}.Decode(levels, 0.5, nil)
 	if len(got) != 1 {
 		t.Fatalf("partial group must be dropped, got %d bits", len(got))
-	}
-}
-
-func TestCodeByName(t *testing.T) {
-	for _, name := range []string{"nrz", "manchester", "fm0"} {
-		c, err := CodeByName(name)
-		if err != nil || c.Name() != name {
-			t.Fatalf("CodeByName(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := CodeByName("qam4096"); err == nil {
-		t.Fatal("unknown code must error")
 	}
 }
 

@@ -122,14 +122,10 @@ func TestRateTable(t *testing.T) {
 }
 
 func TestRateBitsPerSecond(t *testing.T) {
-	r := Rate{SamplesPerChip: 4, Code: "fm0"}
+	r := Rate{SamplesPerChip: 4}
 	// 1 MHz / 4 sps = 250 kchip/s; FM0 = 2 chips/bit -> 125 kbit/s.
 	if got := r.BitsPerSecond(1e6); math.Abs(got-125e3) > 1e-9 {
 		t.Fatalf("rate = %g, want 125e3", got)
-	}
-	bad := Rate{SamplesPerChip: 4, Code: "nope"}
-	if bad.BitsPerSecond(1e6) != 0 {
-		t.Fatal("unknown code should yield 0")
 	}
 }
 

@@ -49,8 +49,6 @@ func (m SIMode) String() string {
 type Config struct {
 	// Modem is the forward-link OOK modem.
 	Modem phy.OOK
-	// Code is the forward line code name (default "fm0").
-	Code string
 	// WarmupChips is the preamble warmup length (default 16).
 	WarmupChips int
 	// SI selects the self-interference strategy (default SINormalize).
@@ -97,7 +95,7 @@ func (l Layout) FlushBlock() (int, int) {
 // Reader is a full-duplex reader instance. Not safe for concurrent use.
 type Reader struct {
 	cfg  Config
-	code phy.LineCode
+	code phy.FM0
 	pre  []byte // preamble chips, fixed by the configuration
 
 	leakAmp float64 // SISubtract calibration
@@ -122,13 +120,6 @@ func New(cfg Config) (*Reader, error) {
 // configuration, keeping the waveform and decoder scratch of the old
 // one. The result behaves exactly like New(cfg).
 func (r *Reader) Reconfigure(cfg Config) error {
-	if cfg.Code == "" {
-		cfg.Code = "fm0"
-	}
-	code, err := phy.CodeByName(cfg.Code)
-	if err != nil {
-		return err
-	}
 	if cfg.WarmupChips == 0 {
 		cfg.WarmupChips = 16
 	}
@@ -136,7 +127,6 @@ func (r *Reader) Reconfigure(cfg Config) error {
 		r.pre = phy.DefaultPreambleChips(cfg.WarmupChips)
 	}
 	r.cfg = cfg
-	r.code = code
 	r.leakAmp = 0
 	return nil
 }
@@ -181,9 +171,7 @@ func (r *Reader) BuildWaveform(wire []byte, hdr phy.Header, padChips int) (sigpr
 	o := r.cfg.Modem
 	cpb := r.code.ChipsPerBit()
 	sps := o.SamplesPerChipN()
-	if fm0, ok := r.code.(*phy.FM0); ok {
-		fm0.Reset()
-	}
+	r.code.Reset()
 
 	wave := r.waveBuf[:0]
 	wave = o.AppendIdle(wave, padChips)

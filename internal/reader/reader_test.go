@@ -21,14 +21,8 @@ func newTestReader(t *testing.T, cfg Config) *Reader {
 
 func TestNewDefaults(t *testing.T) {
 	r := newTestReader(t, Config{})
-	if r.cfg.Code != "fm0" || r.cfg.WarmupChips != 16 {
+	if r.cfg.WarmupChips != 16 {
 		t.Fatalf("defaults not applied: %+v", r.cfg)
-	}
-}
-
-func TestNewRejectsBadCode(t *testing.T) {
-	if _, err := New(Config{Code: "bogus"}); err == nil {
-		t.Fatal("bad line code must error")
 	}
 }
 

@@ -36,8 +36,6 @@ import (
 type Config struct {
 	// Modem must match the reader's forward-link modem.
 	Modem phy.OOK
-	// Code is the forward line code name (default "fm0").
-	Code string
 	// Rho is the reflection coefficient: fraction of incident POWER
 	// re-radiated while in the reflect state. Default 0.3.
 	Rho float64
@@ -63,7 +61,7 @@ type Config struct {
 // use.
 type Tag struct {
 	cfg      Config
-	code     phy.LineCode
+	code     phy.FM0
 	sync     *phy.PreambleDetector
 	budget   energy.Budget
 	detector *sigproc.SinglePoleIIR
@@ -72,7 +70,6 @@ type Tag struct {
 	muted      bool
 	acquired   bool
 	header     phy.Header
-	ampEst     float64
 	chipOffset int // residual sample offset of chip boundaries in chunk views
 	chunkIdx   int
 	chunkOK    []bool
@@ -101,13 +98,6 @@ func New(cfg Config) (*Tag, error) {
 // correlator is rebuilt only when the modem or warmup changes). The
 // result behaves exactly like New(cfg).
 func (t *Tag) Reconfigure(cfg Config) error {
-	if cfg.Code == "" {
-		cfg.Code = "fm0"
-	}
-	code, err := phy.CodeByName(cfg.Code)
-	if err != nil {
-		return err
-	}
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.3
 	}
@@ -127,7 +117,6 @@ func (t *Tag) Reconfigure(cfg Config) error {
 		t.sync = phy.NewPreambleDetector(phy.PreambleTemplate(cfg.Modem, phy.DefaultPreambleChips(cfg.WarmupChips)))
 	}
 	t.cfg = cfg
-	t.code = code
 	t.detector = nil
 	if cfg.DetectorCutoffHz > 0 {
 		t.detector = sigproc.NewSinglePoleIIR(cfg.DetectorCutoffHz, cfg.SampleRate)
@@ -241,7 +230,7 @@ func (t *Tag) Acquire(view sigproc.IQ, stateLen int, sampleRate float64) (states
 	if len(t.levelBuf) < nChips {
 		return states, res
 	}
-	t.bitBuf = t.decodeBits(t.levelBuf[:nChips], amp, t.bitBuf[:0])
+	t.bitBuf = t.code.Decode(t.levelBuf[:nChips], 0, t.bitBuf[:0])
 	t.byteBuf = sigproc.BitsToBytes(t.bitBuf, t.byteBuf[:0])
 	hdr, err := phy.ParseHeader(t.byteBuf)
 	if err != nil {
@@ -256,7 +245,6 @@ func (t *Tag) Acquire(view sigproc.IQ, stateLen int, sampleRate float64) (states
 	}
 	t.acquired = true
 	t.header = hdr
-	t.ampEst = amp
 	t.chipOffset = off
 	if n := hdr.NumChunks(); cap(t.chunkOK) < n {
 		t.chunkOK = make([]bool, n)
@@ -270,17 +258,6 @@ func (t *Tag) Acquire(view sigproc.IQ, stateLen int, sampleRate float64) (states
 	t.pendingBit = 1 // header-ACK rides on the first chunk block
 	res.OK, res.Header, res.ChipOffset = true, hdr, off
 	return states, res
-}
-
-// decodeBits slices chips into bits using the configured line code; NRZ
-// needs the amplitude-scaled threshold, the differential codes derive
-// their own.
-func (t *Tag) decodeBits(levels []float64, amp float64, dst []byte) []byte {
-	thr := 0.0
-	if t.code.Name() == "nrz" {
-		thr = t.cfg.Modem.SliceThreshold(amp)
-	}
-	return t.code.Decode(levels, thr, dst)
 }
 
 // Acquired reports whether the tag locked onto a frame.
@@ -323,7 +300,7 @@ func (t *Tag) ProcessChunk(view sigproc.IQ, stateLen int, sampleRate float64) (s
 		}
 	}
 	t.levelBuf = t.cfg.Modem.ChipLevels(env, t.chipOffset, t.levelBuf[:0])
-	t.bitBuf = t.decodeBits(t.levelBuf, t.ampEst, t.bitBuf[:0])
+	t.bitBuf = t.code.Decode(t.levelBuf, 0, t.bitBuf[:0])
 	chunkBytes := sigproc.BitsToBytes(t.bitBuf, t.byteBuf[:0])
 	t.byteBuf = chunkBytes
 
@@ -446,7 +423,6 @@ func (t *Tag) StoredEnergy() float64 { return t.budget.Cap.Energy() }
 func (t *Tag) resetFrame() {
 	t.acquired = false
 	t.header = phy.Header{}
-	t.ampEst = 0
 	t.chipOffset = 0
 	t.chunkIdx = 0
 	t.chunkOK = t.chunkOK[:0]

@@ -25,7 +25,7 @@ func TestNewDefaults(t *testing.T) {
 	if tg.Rho() != 0.3 {
 		t.Fatalf("default rho = %g", tg.Rho())
 	}
-	if tg.cfg.Code != "fm0" || tg.cfg.WarmupChips != 16 {
+	if tg.cfg.WarmupChips != 16 {
 		t.Fatalf("defaults: %+v", tg.cfg)
 	}
 }
@@ -33,9 +33,6 @@ func TestNewDefaults(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Rho: 2}); err == nil {
 		t.Fatal("rho > 1 must error")
-	}
-	if _, err := New(Config{Code: "bogus"}); err == nil {
-		t.Fatal("bad code must error")
 	}
 	if _, err := New(Config{DetectorCutoffHz: 1000}); err == nil {
 		t.Fatal("detector RC without sample rate must error")
