@@ -8,12 +8,16 @@ package fdbackscatter
 // with a full worker pool, for serial-vs-parallel comparisons.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/mac"
 	"repro/internal/phy"
+	"repro/internal/reader"
 	"repro/internal/sigproc"
 	"repro/internal/simrand"
 )
@@ -129,6 +133,44 @@ func mustReaderBench(b *testing.B) interface {
 		b.Fatal(err)
 	}
 	return l.Reader()
+}
+
+// BenchmarkFeedbackDecision times one feedback-bit decision at fig1's
+// three bit periods, on fig1's carrier, leak and reflection levels:
+// exact is DecodeFeedbackBit (envelopes, Normalize, DecodeOne, margin),
+// fast is DecideFeedbackBit with the carrier envelope computed once,
+// the call the feedback BER experiments make per bit.
+func BenchmarkFeedbackDecision(b *testing.B) {
+	for _, spb := range []int{10, 100, 1000} {
+		rd, err := reader.New(reader.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		txAmp := math.Sqrt(0.1)
+		tx := sigproc.NewIQ(spb).Fill(complex(txAmp, 0))
+		states := feedback.Config{SamplesPerBit: spb}.AppendStates(nil, []byte{1})
+		rx := sigproc.NewIQ(spb)
+		for i := range rx {
+			rx[i] = complex(0.1*txAmp, 0)
+			if states[i] == feedback.StateReflect {
+				rx[i] += complex(2e-4*txAmp, 0)
+			}
+		}
+		simrand.New(1).FillNoise(rx, 1e-9)
+		txEnv := tx.Envelope(nil)
+		b.Run(fmt.Sprintf("exact/spb=%d", spb), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.DecodeFeedbackBit(rx, tx)
+			}
+		})
+		b.Run(fmt.Sprintf("fast/spb=%d", spb), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.DecideFeedbackBit(rx, tx, txEnv)
+			}
+		})
+	}
 }
 
 // Keep the facade itself exercised.

@@ -22,10 +22,11 @@ type Arena struct {
 	payload []byte
 	readers map[reader.Config]*reader.Reader
 
-	// Feedback-cell scratch: the carrier/receive blocks, the cached
-	// per-bit antenna state patterns, and the per-bit noiseless receive
-	// patterns derived from them.
+	// Feedback-cell scratch: the carrier/receive blocks, the carrier's
+	// envelope, the cached per-bit antenna state patterns, and the
+	// per-bit noiseless receive patterns derived from them.
 	tx, rx    sigproc.IQ
+	txEnv     []float64
 	base      [2]sigproc.IQ
 	statesCfg feedback.Config
 	states    [2][]byte
@@ -130,6 +131,14 @@ func (a *Arena) IQPair(n int) (tx, rx sigproc.IQ) {
 	return a.tx[:n], a.rx[:n]
 }
 
+// CarrierEnvelope returns tx's envelope in the arena's carrier-envelope
+// scratch (tx.Envelope's values, reallocated only when tx is longer than
+// any earlier carrier).
+func (a *Arena) CarrierEnvelope(tx sigproc.IQ) []float64 {
+	a.txEnv = tx.Envelope(a.txEnv[:0])
+	return a.txEnv
+}
+
 // BasePair returns two arena blocks of length n for the per-bit
 // noiseless receive patterns (contents unspecified; callers fill them).
 func (a *Arena) BasePair(n int) (zero, one sigproc.IQ) {
@@ -160,12 +169,16 @@ func (a *Arena) BitStates(cfg feedback.Config) (zero, one []byte) {
 }
 
 // PrewarmFeedback pre-sizes every feedback-cell buffer (carrier and
-// receive blocks, base patterns, the decoder scratch of the reader for
-// cfg) for bit periods up to n samples. A sweep whose cells grow the
-// bit period calls this with the sweep maximum so buffers are sized
-// once instead of re-allocated at each size step.
+// receive blocks, the carrier envelope, base patterns, the decoder
+// scratch of the reader for cfg) for bit periods up to n samples. A
+// sweep whose cells grow the bit period calls this with the sweep
+// maximum so buffers are sized once instead of re-allocated at each
+// size step.
 func (a *Arena) PrewarmFeedback(cfg reader.Config, n int) error {
 	a.IQPair(n)
+	if cap(a.txEnv) < n {
+		a.txEnv = make([]float64, 0, n)
+	}
 	a.BasePair(n)
 	rd, err := a.Reader(cfg)
 	if err != nil {

@@ -44,7 +44,9 @@ func feedbackChannelBER(a *Arena, distM, rho, txPowerW, noiseW float64, samplesP
 // random bits is coded with rdCfg.FeedbackCode over spb samples, noised
 // at noiseW and decoded; the result is the bit error rate. calibrate,
 // when non-nil, runs once before the loop and may use rx as scratch.
-// All scratch (reader, carrier blocks, state patterns, random source)
+// Only the bit decision is read (Reader.DecideFeedbackBit, with the
+// carrier envelope computed once per call). All scratch (reader,
+// carrier blocks and envelope, state patterns, random source)
 // comes from the worker's arena; every piece is reset per call, so the
 // result is a pure function of the arguments.
 func feedbackBER(a *Arena, rdCfg reader.Config, calibrate func(rd *reader.Reader, rx, tx sigproc.IQ),
@@ -57,6 +59,7 @@ func feedbackBER(a *Arena, rdCfg reader.Config, calibrate func(rd *reader.Reader
 	cfg := feedback.Config{SamplesPerBit: spb, Code: rdCfg.FeedbackCode}
 	tx, rx := a.IQPair(spb)
 	tx.Fill(complex(txAmp, 0))
+	txEnv := a.CarrierEnvelope(tx)
 	if calibrate != nil {
 		calibrate(rd, rx, tx)
 	}
@@ -77,8 +80,7 @@ func feedbackBER(a *Arena, rdCfg reader.Config, calibrate func(rd *reader.Reader
 			copy(rx, base0)
 		}
 		src.FillNoise(rx, noiseW)
-		got, _ := rd.DecodeFeedbackBit(rx, tx)
-		if got != bit {
+		if rd.DecideFeedbackBit(rx, tx, txEnv) != bit {
 			errs++
 		}
 	}

@@ -13,15 +13,19 @@ const benchPhaseTags = 1 << 15
 
 // benchEngine builds a million-preset engine at benchPhaseTags tags and
 // runs its first round, so every phase sees settled, realistic state
-// (associations, energy, rate-adaptation rows). The pool is stopped
-// when the benchmark ends.
-func benchEngine(b *testing.B, workers int) (e *engine, slots *simrand.Source) {
+// (associations, energy, rate-adaptation rows; with congestion set,
+// the cubic controller's windows and timers). The pool is stopped when
+// the benchmark ends.
+func benchEngine(b *testing.B, workers int, congestion bool) (e *engine, slots *simrand.Source) {
 	b.Helper()
 	sc, err := Preset("million")
 	if err != nil {
 		b.Fatal(err)
 	}
 	sc.Tags = benchPhaseTags
+	if congestion {
+		sc.Congestion.Controller = CongestionCubic
+	}
 	// The run's split order: placement, traffic, slots, mobility.
 	root := simrand.New(1)
 	place, traffic, slots := root.Split(), root.Split(), root.Split()
@@ -40,7 +44,8 @@ func benchEngine(b *testing.B, workers int) (e *engine, slots *simrand.Source) {
 // so an end-to-end engine change can be traced to the phase it moved.
 // windows replays the same contention window every iteration: every
 // tag's queue is topped up far beyond what the benchmark can drain and
-// the slot draws are taken once.
+// the slot draws are taken once. cong runs on an engine built with the
+// cubic controller, since the pass does not exist without one.
 func BenchmarkLayerNetsimPhase(b *testing.B) {
 	phases := []struct {
 		name  string
@@ -60,11 +65,12 @@ func BenchmarkLayerNetsimPhase(b *testing.B) {
 			e.buildActiveCells()
 			e.drawSlots(slots)
 		}},
+		{"cong", phaseCong, nil},
 	}
 	for _, p := range phases {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
-				e, slots := benchEngine(b, workers)
+				e, slots := benchEngine(b, workers, p.ph == phaseCong)
 				if p.setup != nil {
 					p.setup(e, slots)
 				}

@@ -241,6 +241,16 @@ func (r *Reader) DecodeFeedbackBit(rx, tx sigproc.IQ) (bit byte, margin float64)
 	if len(rx) != len(tx) {
 		panic("reader: rx/tx block length mismatch")
 	}
+	if r.cfg.SI == SINormalize && len(rx) >= 2 {
+		r.txEnv = tx.Envelope(r.txEnv[:0])
+	}
+	return r.decodeExact(rx, tx, r.txEnv)
+}
+
+// decodeExact is the one exact feedback decoder behind both
+// DecodeFeedbackBit and DecideFeedbackBit's fallback. txEnv must hold
+// tx.Envelope's values when SI is SINormalize; SISubtract ignores it.
+func (r *Reader) decodeExact(rx, tx sigproc.IQ, txEnv []float64) (bit byte, margin float64) {
 	if len(rx) < 2 {
 		return 0, 0
 	}
@@ -265,14 +275,118 @@ func (r *Reader) DecodeFeedbackBit(rx, tx sigproc.IQ) (bit byte, margin float64)
 		return cfg.DecodeOne(r.resBuf, 0)
 	default: // SINormalize
 		r.rxEnv = rx.Envelope(r.rxEnv[:0])
-		r.txEnv = tx.Envelope(r.txEnv[:0])
-		r.normBuf = feedback.Normalize(r.rxEnv, r.txEnv, 0, r.normBuf[:0])
+		r.normBuf = feedback.Normalize(r.rxEnv, txEnv[:len(rx)], 0, r.normBuf[:0])
 		if r.cfg.FeedbackCode == feedback.CodeNRZ {
 			thr := cfg.EstimateThreshold(r.normBuf)
 			return cfg.DecodeOne(r.normBuf, thr)
 		}
 		return cfg.DecodeOne(r.normBuf, 0)
 	}
+}
+
+// DecideFeedbackBit returns the bit DecodeFeedbackBit(rx, tx) would
+// return, without its margin. txEnv must hold tx.Envelope's values (a
+// constant carrier's envelope is computed once and reused across bits).
+// SINormalize with Manchester coding first tries manchesterDecision's
+// bounded-error fast path; every other mode, and every decision that
+// path declines, takes the exact decoder, so the bit is identical.
+//
+//fdlint:noalloc
+func (r *Reader) DecideFeedbackBit(rx, tx sigproc.IQ, txEnv []float64) byte {
+	if len(rx) != len(tx) {
+		panic("reader: rx/tx block length mismatch")
+	}
+	if r.cfg.SI == SINormalize && r.cfg.FeedbackCode == feedback.CodeManchester {
+		if bit, ok := manchesterDecision(rx, txEnv); ok {
+			return bit
+		}
+	}
+	bit, _ := r.decodeExact(rx, tx, txEnv)
+	return bit
+}
+
+// manchesterDecision decides a SINormalize Manchester bit in one fused
+// pass that sums sqrt(re²+im²)/txEnv[i] over each half bit — no Hypot,
+// no envelope or normalised buffers. It reports ok only when the two
+// half means are farther apart than the rounding error that separates
+// them from the exact decoder's means, so an ok bit is the exact bit.
+//
+// The bound, with u = 2⁻⁵³ the unit roundoff and sample values
+// z = re + i·im, q = |z|/t per sample (t = txEnv[i] ≥ 1e-9):
+//
+//   - Envelope. The exact decoder's Hypot(re, im) (amd64 archHypot and
+//     the pure-Go hypot compute the same M·sqrt(1+ρ²), with M and m the
+//     larger and smaller of |re|, |im| and ρ = m/M) is within 3.25u of
+//     |z|: u for ρ, 3u·ρ²/(1+ρ²) ≤ 1.5u plus u for 1+ρ², halved by
+//     sqrt plus u, plus u for the final product. Its im == 0 branch,
+//     |re|, is exact. The fast sqrt(fl(re²+im²)) is within 3u: the
+//     squared magnitude p is within 4u of |z|² — u per square, u for
+//     the sum, and with p ≥ 2⁻¹⁰²² (checked per sample) a subnormal
+//     square's 2⁻¹⁰⁷⁵ absolute error is at most u·p each — which sqrt
+//     halves to 2u, plus u for its own rounding. So the two envelopes
+//     differ by at most 6.25u relative.
+//   - Division. Each path rounds its quotient once more: 8.25u between
+//     the two q per sample, plus 2⁻¹⁰⁷⁴ absolute if a quotient
+//     underflows (t ≥ 1e-9 and p ≥ 2⁻¹⁰²² keep it finite).
+//   - Sum. Both paths add the m terms of a half left to right; each
+//     recursive sum of non-negative terms is within (m−1)u of the true
+//     sum, so the two half sums differ by at most (2m−2+8.25)u times
+//     their value (sums of subnormals are exact).
+//   - Mean. Each path divides by m once more: u each, so the two half
+//     means differ by at most (2m+8.25)u relative, plus 2⁻¹⁰⁷³
+//     absolute from underflow.
+//
+// The halves hold m = n/2 and n−n/2 ≤ (n+1)/2 samples, so the exact
+// means a, b and the fast ones a', b' satisfy
+// |a'−a| + |b'−b| ≤ (n+9.25)u·(a'+b') + 2⁻¹⁰⁷², all terms being
+// non-negative. The guard below uses (n+16)u and 2⁻¹⁰⁷⁰: the spare
+// 6.75u covers the O(n²u²) second-order terms (n ≤ 2²⁰ keeps them
+// below 2⁻¹²u) and the rounding of the guard's own subtraction,
+// product and sum. Past the guard, a'−b' and a−b have the same strict
+// sign, which is the exact decoder's decision (a > b gives 1).
+//
+// NaN or infinite samples fail the guard (a NaN or ∞ difference is
+// never greater than the threshold), as does a squared magnitude
+// below the normal range or a txEnv sample below Normalize's 1e-9
+// hold floor (the exact decoder holds the previous level there).
+//
+//fdlint:noalloc
+func manchesterDecision(rx sigproc.IQ, txEnv []float64) (bit byte, ok bool) {
+	n := len(rx)
+	if n < 2 || n > 1<<20 {
+		return 0, false
+	}
+	half := n / 2
+	txEnv = txEnv[:n]
+	sa, oka := halfSum(rx[:half], txEnv[:half])
+	sb, okb := halfSum(rx[half:], txEnv[half:])
+	a := sa / float64(half)
+	b := sb / float64(n-half)
+	if !oka || !okb || !(math.Abs(a-b) > (float64(n)+16)*0x1p-53*(a+b)+0x1p-1070) {
+		return 0, false
+	}
+	if a > b {
+		return 1, true
+	}
+	return 0, true
+}
+
+// halfSum returns the left-to-right sum of sqrt(re²+im²)/env[i] over
+// one half bit, and false when a sample leaves the range
+// manchesterDecision's bound covers.
+func halfSum(rx sigproc.IQ, env []float64) (float64, bool) {
+	env = env[:len(rx)]
+	var s float64
+	for i, v := range rx {
+		re, im := real(v), imag(v)
+		p := re*re + im*im
+		t := env[i]
+		if !(p >= 0x1p-1022) || t < 1e-9 {
+			return 0, false
+		}
+		s += math.Sqrt(p) / t
+	}
+	return s, true
 }
 
 func realAbs(v complex128) float64 {

@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -250,5 +251,192 @@ func TestDecodeFeedbackNRZMode(t *testing.T) {
 func TestSIModeString(t *testing.T) {
 	if SINormalize.String() != "normalize" || SISubtract.String() != "subtract" || SIMode(7).String() == "" {
 		t.Fatal("SIMode.String broken")
+	}
+}
+
+// exactHalfMeans returns the exact decoder's two Manchester half means
+// for an rx block: Hypot envelope, Normalize, then the left-to-right
+// mean of each half, as feedback.Config.DecodeOne computes them.
+func exactHalfMeans(rx, tx sigproc.IQ) (a, b float64) {
+	norm := feedback.Normalize(rx.Envelope(nil), tx.Envelope(nil), 0, nil)
+	mean := func(x []float64) float64 {
+		var s float64
+		for _, v := range x {
+			s += v
+		}
+		return s / float64(len(x))
+	}
+	half := len(norm) / 2
+	return mean(norm[:half]), mean(norm[half:])
+}
+
+// A fig1-style block at bit period n: constant carrier, -20 dB leak,
+// the tag's reflection in one half, complex noise of the given power.
+func carrierBlock(n int, bit byte, noise float64, seed uint64) (rx, tx sigproc.IQ) {
+	tx = sigproc.NewIQ(n).Fill(complex(math.Sqrt(0.1), 0))
+	cfg := feedback.Config{SamplesPerBit: n, Code: feedback.CodeManchester}
+	states := cfg.AppendStates(nil, []byte{bit})
+	rx = make(sigproc.IQ, n)
+	for i := range rx {
+		rx[i] = 0.1 * tx[i]
+		if states[i] == feedback.StateReflect {
+			rx[i] += 1e-4 * tx[i]
+		}
+	}
+	simrand.New(seed).FillNoise(rx, noise)
+	return rx, tx
+}
+
+// Near ties: with tiny noise and one half rescaled so the fast means
+// sit a chosen multiple k of the guard apart, every fast decision must
+// equal DecodeFeedbackBit's bit; the fast path must decline every
+// block inside the guard (k < 1 with margin for the rescale's own
+// rounding) and take every block well outside it. The measured gap
+// between fast and exact means must also stay inside the derived
+// bound at every length, odd and even.
+func TestFeedbackDecisionNearTies(t *testing.T) {
+	r := newTestReader(t, Config{})
+	const u = 0x1p-53
+	ks := []float64{0, 0.25, 0.5, 0.9, 0.99, 1.01, 1.1, 2, 4, 16}
+	taken := 0
+	for _, n := range []int{2, 3, 10, 11, 100, 101, 1000, 1001} {
+		for seed := uint64(0); seed < 20; seed++ {
+			for _, k := range ks {
+				rx, tx := carrierBlock(n, byte(seed&1), 1e-24, seed*131+uint64(n))
+				txEnv := tx.Envelope(nil)
+				half := n / 2
+				sa, _ := halfSum(rx[:half], txEnv[:half])
+				sb, _ := halfSum(rx[half:], txEnv[half:])
+				a, b := sa/float64(half), sb/float64(n-half)
+				guard := (float64(n) + 16) * u * (a + b)
+				sign := 1.0
+				if seed&2 != 0 {
+					sign = -1
+				}
+				// Rescale the second half so b' lands at a' + sign·k·guard.
+				f := (a + sign*k*guard) / b
+				for i := half; i < n; i++ {
+					rx[i] *= complex(f, 0)
+				}
+				want, _ := r.DecodeFeedbackBit(rx, tx)
+				if got := r.DecideFeedbackBit(rx, tx, txEnv); got != want {
+					t.Fatalf("n=%d seed=%d k=%g: fast decision %d, exact %d", n, seed, k, got, want)
+				}
+				_, ok := manchesterDecision(rx, txEnv)
+				if ok && k <= 0.9 {
+					t.Fatalf("n=%d seed=%d k=%g: fast path decided inside the guard", n, seed, k)
+				}
+				if !ok && k >= 1.1 {
+					t.Fatalf("n=%d seed=%d k=%g: fast path declined outside the guard", n, seed, k)
+				}
+				if ok {
+					taken++
+				}
+				ea, eb := exactHalfMeans(rx, tx)
+				sa, _ = halfSum(rx[:half], txEnv[:half])
+				sb, _ = halfSum(rx[half:], txEnv[half:])
+				fa, fb := sa/float64(half), sb/float64(n-half)
+				if d, bound := math.Abs(fa-ea)+math.Abs(fb-eb), (float64(n)+9.25)*u*(fa+fb); d > bound {
+					t.Fatalf("n=%d seed=%d k=%g: fast/exact mean gap %g exceeds bound %g", n, seed, k, d, bound)
+				}
+			}
+		}
+	}
+	if taken == 0 {
+		t.Fatal("fast path never decided")
+	}
+}
+
+// feedbackBlockFromBytes decodes a fuzz input into rx and tx blocks:
+// each 32-byte record is one sample's rx re, rx im, tx re, tx im as
+// little-endian float64 bits.
+func feedbackBlockFromBytes(data []byte) (rx, tx sigproc.IQ) {
+	n := len(data) / 32
+	rx, tx = make(sigproc.IQ, n), make(sigproc.IQ, n)
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])) }
+	for i := 0; i < n; i++ {
+		rx[i] = complex(f(4*i), f(4*i+1))
+		tx[i] = complex(f(4*i+2), f(4*i+3))
+	}
+	return rx, tx
+}
+
+func feedbackBlockBytes(rx, tx sigproc.IQ) []byte {
+	var out []byte
+	for i := range rx {
+		for _, v := range []float64{real(rx[i]), imag(rx[i]), real(tx[i]), imag(tx[i])} {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// FuzzFeedbackDecision: DecideFeedbackBit returns DecodeFeedbackBit's
+// bit for every (rx, tx) block, in every SI mode and line code. mode
+// picks the configuration: bit 0 SISubtract, bit 1 NRZ.
+func FuzzFeedbackDecision(f *testing.F) {
+	add := func(rx, tx sigproc.IQ) {
+		for mode := byte(0); mode < 4; mode++ {
+			f.Add(mode, feedbackBlockBytes(rx, tx))
+		}
+	}
+	rx, tx := carrierBlock(10, 1, 1e-9, 1)
+	add(rx, tx)
+	rx, tx = carrierBlock(11, 0, 1e-9, 2)
+	add(rx, tx)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1074, 0x1p-540, 1e300, 0} {
+		rx, tx = carrierBlock(6, 1, 1e-9, 3)
+		rx[2] = complex(v, 0)
+		add(rx, tx)
+		rx, tx = carrierBlock(6, 0, 1e-9, 4)
+		rx[4] = complex(0, v)
+		add(rx, tx)
+		rx, tx = carrierBlock(6, 1, 1e-9, 5)
+		tx[1] = complex(v, 0)
+		add(rx, tx)
+	}
+	// Below Normalize's hold floor, and a carrier so strong the
+	// quotients underflow.
+	rx, tx = carrierBlock(8, 1, 1e-9, 6)
+	tx[3] = 1e-10
+	add(rx, tx)
+	rx, tx = carrierBlock(8, 0, 1e-9, 7)
+	tx.Fill(1e300)
+	add(rx, tx)
+	f.Fuzz(func(t *testing.T, mode byte, data []byte) {
+		cfg := Config{}
+		if mode&1 != 0 {
+			cfg.SI = SISubtract
+		}
+		if mode&2 != 0 {
+			cfg.FeedbackCode = feedback.CodeNRZ
+		}
+		r := newTestReader(t, cfg)
+		rx, tx := feedbackBlockFromBytes(data)
+		if cfg.SI == SISubtract {
+			r.Calibrate(rx, tx)
+		}
+		want, _ := r.DecodeFeedbackBit(rx, tx)
+		if got := r.DecideFeedbackBit(rx, tx, tx.Envelope(nil)); got != want {
+			t.Fatalf("mode %d: fast decision %d, exact %d for rx=%v tx=%v", mode, got, want, rx, tx)
+		}
+	})
+}
+
+// DecideFeedbackBit is the per-bit call of every feedback BER loop:
+// allocation-free on the fast path and on the exact fallback once the
+// reader's scratch is sized.
+func TestDecideFeedbackBitAllocFree(t *testing.T) {
+	r := newTestReader(t, Config{})
+	rx, tx := carrierBlock(100, 1, 1e-9, 9)
+	txEnv := tx.Envelope(nil)
+	tie := sigproc.NewIQ(100).Fill(0.03) // equal halves: always the fallback
+	for _, c := range []struct {
+		name string
+		rx   sigproc.IQ
+	}{{"fast", rx}, {"fallback", tie}} {
+		if allocs := testing.AllocsPerRun(100, func() { r.DecideFeedbackBit(c.rx, tx, txEnv) }); allocs != 0 {
+			t.Fatalf("%s: %v allocs per decision", c.name, allocs)
+		}
 	}
 }

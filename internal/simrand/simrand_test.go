@@ -337,25 +337,121 @@ func TestFastPathsMatchMathRand(t *testing.T) {
 	}
 }
 
-// FillNoise's manually inlined ziggurat must stay draw-for-draw
-// identical to two Normal calls per sample.
-func TestFillNoiseMatchesNorm(t *testing.T) {
-	a, b := New(99), New(99)
-	const n = 4096
-	xa := make([]complex128, n)
-	xb := make([]complex128, n)
-	a.FillNoise(xa, 1e-6)
-	sigma := math.Sqrt(1e-6 / 2)
-	for i := range xb {
-		xb[i] += complex(sigma*b.Normal(), sigma*b.Normal())
-	}
-	for i := range xa {
-		if xa[i] != xb[i] {
-			t.Fatalf("sample %d: FillNoise %v != reference %v", i, xa[i], xb[i])
+// refNorm is rand.Rand.NormFloat64's ziggurat as written in math/rand/v2
+// — math.Exp on every wedge test, no squeeze — drawing from s's PCG.
+// It records each strip whose wedge test ran in wedgeHits.
+func refNorm(s *Source, wedgeHits *[128]int) float64 {
+	for {
+		u := s.pcg.Uint64()
+		j := int32(u)
+		i := u >> 32 & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(s.f64()) * (1.0 / zigguratRN)
+				y := -math.Log(s.f64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return zigguratRN + x
+			}
+			return -zigguratRN - x
+		}
+		wedgeHits[i]++
+		if fn[i]+float32(s.f64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
 		}
 	}
-	// And the two sources must remain in lockstep afterwards.
-	if a.Uint64() != b.Uint64() {
+}
+
+// FillNoise's manually inlined ziggurat must stay draw-for-draw
+// identical to two Normal calls per sample, and both to the unsqueezed
+// reference ziggurat; the block is long enough that every strip's
+// wedge test runs.
+func TestFillNoiseMatchesNorm(t *testing.T) {
+	a, b, c := New(99), New(99), New(99)
+	const n = 1 << 17
+	xa := make([]complex128, n)
+	xb := make([]complex128, n)
+	xc := make([]complex128, n)
+	a.FillNoise(xa, 1e-6)
+	sigma := math.Sqrt(1e-6 / 2)
+	var hits [128]int
+	for i := range xb {
+		xb[i] += complex(sigma*b.Normal(), sigma*b.Normal())
+		xc[i] += complex(sigma*refNorm(c, &hits), sigma*refNorm(c, &hits))
+	}
+	for i := range xa {
+		if xa[i] != xb[i] || xb[i] != xc[i] {
+			t.Fatalf("sample %d: FillNoise %v, Normal %v, reference %v", i, xa[i], xb[i], xc[i])
+		}
+	}
+	// And the sources must remain in lockstep afterwards.
+	if u := a.Uint64(); u != b.Uint64() || u != c.Uint64() {
 		t.Fatal("sources diverged after FillNoise")
 	}
+	for i := 1; i < len(hits); i++ {
+		if hits[i] == 0 {
+			t.Fatalf("strip %d's wedge test never ran; lengthen the block", i)
+		}
+	}
+}
+
+// Every strip's squeeze brackets math.Exp over its whole z interval:
+// at both ends and at evenly spaced |j| between them. The interval
+// widths stay under the 0.75 buildWedges' rounding argument assumes.
+func TestWedgeSqueezeIntervals(t *testing.T) {
+	for i := 1; i < len(wedges); i++ {
+		w := &wedges[i]
+		xNear := float64(kn[i]) * float64(wn[i])
+		if width := -.5*xNear*xNear - w.z0; !(width > 0 && width < 0.75) {
+			t.Fatalf("strip %d: z interval width %v outside (0, 0.75)", i, width)
+		}
+		const steps = 4096
+		lo, hi := uint64(kn[i]), uint64(1)<<31
+		for k := uint64(0); k <= steps; k++ {
+			x := float64(lo+(hi-lo)*k/steps) * float64(wn[i])
+			z := -.5 * x * x
+			d := z - w.z0
+			e := math.Exp(z)
+			if l, h := w.lo0+d*w.loSlope, w.hi0+d*w.hiSlope; !(l <= e && e <= h) {
+				t.Fatalf("strip %d x=%v: squeeze [%v, %v] misses math.Exp %v", i, x, l, h, e)
+			}
+		}
+	}
+}
+
+// FuzzZigguratWedge: the squeezed wedge test decides every wedge draw
+// as the math.Exp test does. u1 supplies the strip, the sign and the
+// magnitude (mapped into the strip's wedge range kn[i] ≤ |j| ≤ 2³¹);
+// u2 the uniform draw, converted as f64 converts it.
+func FuzzZigguratWedge(f *testing.F) {
+	f.Add(uint64(1)<<32, uint64(0))
+	f.Add(uint64(127)<<32|0xffffffff, ^uint64(0))
+	f.Add(uint64(64)<<32|0x80000000, uint64(1)<<52)
+	f.Add(uint64(0x7f7f7f7f7f7f7f7f), uint64(0x123456789abcdef))
+	f.Fuzz(func(t *testing.T, u1, u2 uint64) {
+		i := u1 >> 32 & 0x7F
+		if i == 0 {
+			i = 1 + u1>>40%127
+		}
+		span := uint64(1)<<31 - uint64(kn[i]) + 1
+		mag := int64(uint64(kn[i]) + uint64(uint32(u1)>>1)%span)
+		if u1&1 != 0 {
+			mag = -mag
+		} else if mag == 1<<31 {
+			mag-- // int32 reaches -2³¹ but not +2³¹
+		}
+		x := float64(mag) * float64(wn[i])
+		u := float64(u2<<11>>11) / (1 << 53)
+		want := fn[i]+float32(u)*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x))
+		if got := wedgeAccept(i, x, u); got != want {
+			t.Fatalf("strip %d x=%v u=%v: squeezed wedge %v, math.Exp test %v", i, x, u, got, want)
+		}
+	})
 }

@@ -63,7 +63,7 @@ func (s *Source) normSlow(j int32, i uint64, x float64) float64 {
 			}
 			return -zigguratRN - x
 		}
-		if fn[i]+float32(s.f64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		if wedgeAccept(i, x, s.f64()) {
 			return x
 		}
 		u := s.pcg.Uint64()
@@ -74,6 +74,87 @@ func (s *Source) normSlow(j int32, i uint64, x float64) float64 {
 			return x
 		}
 	}
+}
+
+// wedgeAccept is NormFloat64's wedge test for strip i ≥ 1 —
+// fn[i]+float32(u)*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) —
+// with math.Exp evaluated only when a chord/tangent squeeze cannot
+// settle it. The squeeze brackets math.Exp(z) as lo ≤ math.Exp(z) ≤ hi
+// for the same float64 z; float32 rounding is monotone, so
+// L < float32(lo) implies L < float32(math.Exp(z)) (accept) and
+// L ≥ float32(hi) implies the opposite (reject). Every decision, and
+// so every draw and the stream's consumption, is unchanged.
+func wedgeAccept(i uint64, x, u float64) bool {
+	l := fn[i] + float32(u)*(fn[i-1]-fn[i])
+	z := -.5 * x * x
+	w := &wedges[i]
+	d := z - w.z0
+	if l < float32(w.lo0+d*w.loSlope) {
+		return true
+	}
+	if l >= float32(w.hi0+d*w.hiSlope) {
+		return false
+	}
+	return l < float32(math.Exp(z))
+}
+
+// wedge holds one strip's squeeze: on the strip's z interval
+// [z0, z0+width], math.Exp(z) lies between lo0+(z-z0)*loSlope and
+// hi0+(z-z0)*hiSlope.
+type wedge struct {
+	z0, lo0, loSlope, hi0, hiSlope float64
+}
+
+// wedges[i] is strip i's squeeze (strip 0, the base strip with the
+// tail, has no wedge test).
+var wedges = buildWedges()
+
+// buildWedges derives each strip's squeeze from the tables as stored.
+//
+// Interval. A wedge draw of strip i has kn[i] ≤ |j| ≤ 2³¹ and
+// x = float64(j)*float64(wn[i]), z = -.5*x*x. Each of those float64
+// operations is monotone in |j|, so z lies in [z0, z1] with z0 and z1
+// computed by the same operations at |j| = 2³¹ and |j| = kn[i]. Using
+// the float32 wn and the uint32 kn as stored (not the real strip edges
+// they round) makes the interval exact.
+//
+// Bounds. exp is convex, so on [z0, z1] it lies below its chord
+// E0 + (z−z0)(E1−E0)/(z1−z0) and above its tangent at the midpoint c,
+// Ec + (z−c)Ec (Ek = exp(zk) exactly). Every strip has z1−z0 < 0.75
+// (TestWedgeSqueezeIntervals), so E1/E0 < 2.2 and both lines stay
+// within [E0/2, 2.2·E0] on the interval.
+//
+// Rounding. The table entries are computed from math.Exp, which is
+// within 1 ulp (relative 2⁻⁵²), and a handful of float64 operations,
+// and the evaluation in wedgeAccept adds a subtraction, a product and a
+// sum; the chord slope's cancellation in E1−E0 costs at most a factor
+// (E0+E1)/(E1−E0) on an absolute error of 2⁻⁵²·E1, which the product
+// with z−z0 ≤ z1−z0 turns back into an absolute 2⁻⁵⁰·(E0+E1). So each
+// evaluated line is within 2⁻⁴⁶ relative of the true one, and
+// math.Exp(z) within 2⁻⁵² of exp(z). Scaling the chord up and the
+// tangent down by 2⁻³² covers both with room to spare, and still sits
+// far inside float32's 2⁻²⁴ rounding step, so the squeeze stays as
+// tight as float32 lets it be.
+func buildWedges() (ws [128]wedge) {
+	const margin = 0x1p-32
+	for i := 1; i < len(ws); i++ {
+		w := float64(wn[i])
+		xFar := float64(int32(math.MinInt32)) * w
+		xNear := float64(kn[i]) * w
+		z0 := -.5 * xFar * xFar
+		z1 := -.5 * xNear * xNear
+		e0, e1 := math.Exp(z0), math.Exp(z1)
+		c := z0 + (z1-z0)/2
+		ec := math.Exp(c)
+		ws[i] = wedge{
+			z0:      z0,
+			lo0:     ec * (1 - (c - z0)) * (1 - margin),
+			loSlope: ec * (1 - margin),
+			hi0:     e0 * (1 + margin),
+			hiSlope: (e1 - e0) / (z1 - z0) * (1 + margin),
+		}
+	}
+	return ws
 }
 
 var kn = [128]uint32{
