@@ -58,6 +58,11 @@ func run() int {
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "fdbench: unknown -format %q (want text or csv)\n", *format)
+		flag.Usage()
+		return 2
+	}
 
 	if *list || *run == "" {
 		fmt.Println("experiments:")

@@ -62,6 +62,11 @@ func main() {
 		summary    = flag.Bool("summary", false, "print only the aggregate block, not the per-tag table")
 	)
 	flag.Parse()
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "fdnet: unknown -format %q (want text or csv)\n", *format)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *presets || (*preset == "" && *file == "") {
 		fmt.Println("built-in scenarios:")

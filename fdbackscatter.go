@@ -36,7 +36,11 @@ import (
 // Re-exported configuration and result types for the waveform link.
 type (
 	// LinkConfig configures a waveform-level full-duplex backscatter
-	// link (reader, tag, channel, optional interferer).
+	// link: modem, transmit power, distance, tag reflection and energy
+	// budget, noise, optional interferer and seed. The plant is fixed:
+	// 1 MHz sampling, log-distance path loss (n=2.5 at 915 MHz) without
+	// fading, -20 dB TX->RX leakage removed by the reader's envelope
+	// normalisation, and Manchester feedback.
 	LinkConfig = core.LinkConfig
 	// InterfererConfig adds a co-channel interferer to a LinkConfig.
 	InterfererConfig = core.InterfererConfig

@@ -25,28 +25,18 @@ import (
 )
 
 // LinkConfig describes a complete reader-tag link and its environment.
+// The plant itself is fixed: 1 MHz sampling, log-distance path loss
+// (n=2.5 at 915 MHz) on both directions with no small-scale fading, a
+// reader that removes its own TX->RX leakage by SINormalize, and a tag
+// that sends Manchester feedback through an ideal envelope detector.
 type LinkConfig struct {
 	// Modem is the forward OOK modem (shared by reader and tag).
 	Modem phy.OOK
-	// SampleRate in Hz (default 1e6).
-	SampleRate float64
 	// TxPowerW is the reader transmit power in watts; the waveform is
 	// scaled so a high chip carries this power (default 0.1 W / 20 dBm).
 	TxPowerW float64
 	// DistanceM is the reader-tag distance in metres (default 2).
 	DistanceM float64
-	// PathLoss overrides the propagation model (default log-distance
-	// n=2.5 at 915 MHz).
-	PathLoss channel.PathLoss
-	// Fading selects small-scale fading on the forward and backward
-	// paths; coefficients redraw per chunk block.
-	Fading channel.FadingKind
-	// RicianK for FadingRician; GaussMarkovRho for FadingGaussMarkov.
-	RicianK        float64
-	GaussMarkovRho float64
-	// SelfLeakGain is the reader TX->RX leakage power gain (default
-	// 0.01 = -20 dB antenna isolation).
-	SelfLeakGain float64
 	// Rho is the tag reflection coefficient (default 0.3).
 	Rho float64
 	// ChunkSize is the frame chunk size in bytes (default 32).
@@ -55,22 +45,25 @@ type LinkConfig struct {
 	// 1e-13 W, about -100 dBm).
 	ReaderNoiseW float64
 	TagNoiseW    float64
-	// SI selects the reader's self-interference strategy.
-	SI reader.SIMode
-	// FeedbackCode selects the feedback line code (default Manchester).
-	FeedbackCode feedback.Code
-	// DetectorCutoffHz enables the tag's envelope-detector RC.
-	DetectorCutoffHz float64
 	// Harvester, Capacitor, CircuitW configure the tag energy budget.
 	Harvester energy.Harvester
 	Capacitor energy.Capacitor
 	CircuitW  float64
 	// Interferer, when non-nil, adds a co-channel interferer.
 	Interferer *InterfererConfig
-	// Seed drives all randomness (fading, noise, pad jitter,
-	// interferer timing).
+	// Seed drives all randomness (noise, pad jitter, interferer timing).
 	Seed uint64
 }
+
+// The fixed plant: the sample rate in Hz and the reader's TX->RX
+// leakage power gain (-20 dB antenna isolation).
+const (
+	sampleRate   = 1e6
+	selfLeakGain = 0.01
+)
+
+// pathLoss is the propagation model of every link path.
+var pathLoss = channel.NewLogDistance(915e6, 2.5)
 
 // InterfererConfig describes a co-channel interfering transmitter that
 // corrupts chunks (and their feedback) while active — the collision the
@@ -90,20 +83,11 @@ type InterfererConfig struct {
 
 // applyDefaults fills zero fields.
 func (c *LinkConfig) applyDefaults() {
-	if c.SampleRate <= 0 {
-		c.SampleRate = 1e6
-	}
 	if c.TxPowerW <= 0 {
 		c.TxPowerW = 0.1
 	}
 	if c.DistanceM <= 0 {
 		c.DistanceM = 2
-	}
-	if c.PathLoss == nil {
-		c.PathLoss = channel.NewLogDistance(915e6, 2.5)
-	}
-	if c.SelfLeakGain <= 0 {
-		c.SelfLeakGain = 0.01
 	}
 	if c.Rho == 0 {
 		c.Rho = 0.3
@@ -162,18 +146,14 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 // cell.
 func (l *Link) Reconfigure(cfg LinkConfig) error {
 	cfg.applyDefaults()
-	rdCfg := reader.Config{
-		Modem: cfg.Modem, SI: cfg.SI, FeedbackCode: cfg.FeedbackCode,
-	}
 	tgCfg := tag.Config{
 		Modem: cfg.Modem, Rho: cfg.Rho,
-		DetectorCutoffHz: cfg.DetectorCutoffHz, SampleRate: cfg.SampleRate,
 		Harvester: cfg.Harvester, Capacitor: cfg.Capacitor, CircuitW: cfg.CircuitW,
 	}
 	if l.rd == nil {
 		l.rd = &reader.Reader{}
 	}
-	if err := l.rd.Reconfigure(rdCfg); err != nil {
+	if err := l.rd.Reconfigure(reader.Config{Modem: cfg.Modem}); err != nil {
 		return fmt.Errorf("core: reader: %w", err)
 	}
 	if l.tg == nil {
@@ -185,51 +165,16 @@ func (l *Link) Reconfigure(cfg LinkConfig) error {
 	l.cfg = cfg
 	l.seq = 0
 	l.src.Reseed(cfg.Seed)
-	l.buildPaths()
-	return nil
-}
-
-// Reset rewinds the link to the state NewLink would produce with the
-// given seed, without reconstructing the reader, tag, or any scratch:
-// the random stream restarts, faders and paths are re-derived in the
-// construction order (so their Split children match a fresh build), the
-// tag's capacitor recharges, and the frame sequence returns to zero.
-func (l *Link) Reset(seed uint64) {
-	l.cfg.Seed = seed
-	l.seq = 0
-	l.src.Reseed(seed)
-	l.buildPaths()
-	l.rd.Reset()
-	l.tg.Reset()
-}
-
-// buildPaths derives the propagation paths and their faders from the
-// configuration. Fader construction order matters: each fader Splits
-// the link source, so the sequence below is part of the link's
-// deterministic seeding contract.
-func (l *Link) buildPaths() {
-	cfg := &l.cfg
-	gain := cfg.PathLoss.Gain(cfg.DistanceM)
-	mkFader := func() channel.Fader {
-		switch cfg.Fading {
-		case channel.FadingRayleigh:
-			return channel.NewRayleighFader(l.src)
-		case channel.FadingRician:
-			return channel.NewRicianFader(l.src, cfg.RicianK)
-		case channel.FadingGaussMarkov:
-			return channel.NewGaussMarkovFader(l.src, cfg.GaussMarkovRho)
-		default:
-			return nil
-		}
-	}
-	l.fwd = &channel.Path{Gain: gain, Fader: mkFader()}
-	l.bwd = &channel.Path{Gain: gain, Fader: mkFader()}
-	l.leak = &channel.Path{Gain: cfg.SelfLeakGain}
+	gain := pathLoss.Gain(cfg.DistanceM)
+	l.fwd = &channel.Path{Gain: gain}
+	l.bwd = &channel.Path{Gain: gain}
+	l.leak = &channel.Path{Gain: selfLeakGain}
 	l.intTag, l.intRd = nil, nil
 	if ic := cfg.Interferer; ic != nil {
-		l.intTag = &channel.Path{Gain: cfg.PathLoss.Gain(ic.DistanceToTagM), Fader: mkFader()}
-		l.intRd = &channel.Path{Gain: cfg.PathLoss.Gain(ic.DistanceToReaderM), Fader: mkFader()}
+		l.intTag = &channel.Path{Gain: pathLoss.Gain(ic.DistanceToTagM)}
+		l.intRd = &channel.Path{Gain: pathLoss.Gain(ic.DistanceToReaderM)}
 	}
+	return nil
 }
 
 // Tag exposes the link's tag (for energy inspection in experiments).
@@ -381,8 +326,8 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 	// --- Acquisition block ---
 	acqEnd := layout.AcquireEnd
 	viewEnd := minInt(acqEnd+margin, len(wave))
-	incident := l.propagateToTag(wave[:viewEnd], 0, false)
-	_, acq := l.tg.Acquire(incident, acqEnd, cfg.SampleRate)
+	incident := l.propagateToTag(wave[:viewEnd], false)
+	_, acq := l.tg.Acquire(incident, acqEnd, sampleRate)
 	res.Acquired = acq.OK
 	res.SamplesUsed = acqEnd
 	// Reader calibrates its leakage estimate on the idle pad (tag is
@@ -416,10 +361,10 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 		blockLen := e - s
 		viewEnd := minInt(e+margin, len(wave))
 		interfered := interferedChunks[i]
-		incident := l.propagateToTag(wave[s:viewEnd], i+1, interfered)
+		incident := l.propagateToTag(wave[s:viewEnd], interfered)
 		var states []byte
 		if i < tagN {
-			states = l.tg.ProcessChunk(incident, blockLen, cfg.SampleRate)
+			states = l.tg.ProcessChunk(incident, blockLen, sampleRate)
 		} else {
 			// Tag believes the frame already ended: it absorbs quietly.
 			l.idleStates = feedback.AppendIdleStates(l.idleStates[:0], blockLen)
@@ -472,8 +417,8 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 	if !res.Aborted {
 		fs, fe := layout.FlushBlock()
 		if fe > fs {
-			incident := l.propagateToTag(wave[fs:fe], n+1, false)
-			states := l.tg.Flush(incident, 0, cfg.SampleRate)
+			incident := l.propagateToTag(wave[fs:fe], false)
+			states := l.tg.Flush(incident, 0, sampleRate)
 			l.rdRx = l.receiverBlock(wave[fs:fe], incident, states, false, l.rdRx)
 			bit, m := l.rd.DecodeFeedbackBit(l.rdRx, wave[fs:fe])
 			if !opts.DisableFeedback && n > 0 {
@@ -555,9 +500,10 @@ func (l *Link) remapFeedback(res *TransferResult, flushBit byte, flushMargin flo
 }
 
 // propagateToTag renders the incident waveform at the tag for a block:
-// forward path (new fading draw per block index) plus optional
-// interference plus tag receiver noise.
-func (l *Link) propagateToTag(tx sigproc.IQ, blockIdx int, interfered bool) sigproc.IQ {
+// forward path plus optional interference plus tag receiver noise.
+// Every path starts a new block so a fading coefficient, if the path
+// has one, redraws per block.
+func (l *Link) propagateToTag(tx sigproc.IQ, interfered bool) sigproc.IQ {
 	l.fwd.BlockStart()
 	if cap(l.incident) < len(tx) {
 		l.incident = make(sigproc.IQ, len(tx))

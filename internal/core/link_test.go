@@ -9,6 +9,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/reader"
 	"repro/internal/simrand"
+	"repro/internal/tag"
 )
 
 func testPayload(n int, seed uint64) []byte {
@@ -22,12 +23,11 @@ func testPayload(n int, seed uint64) []byte {
 
 func cleanLinkConfig(seed uint64) LinkConfig {
 	return LinkConfig{
-		Modem:      phy.OOK{SamplesPerChip: 4, Depth: 0.75},
-		DistanceM:  2,
-		ChunkSize:  32,
-		TxPowerW:   0.1,
-		Seed:       seed,
-		SampleRate: 1e6,
+		Modem:     phy.OOK{SamplesPerChip: 4, Depth: 0.75},
+		DistanceM: 2,
+		ChunkSize: 32,
+		TxPowerW:  0.1,
+		Seed:      seed,
 	}
 }
 
@@ -103,9 +103,7 @@ func TestTransferHarvestsEnergy(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() *TransferResult {
-		cfg := cleanLinkConfig(77)
-		cfg.Fading = channel.FadingRayleigh
-		l := mustLink(t, cfg)
+		l := mustLink(t, cleanLinkConfig(77))
 		res, err := l.TransferFrame(testPayload(200, 5), TransferOptions{PadChips: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -244,10 +242,14 @@ func TestFeedbackReliableOverTrials(t *testing.T) {
 	}
 }
 
+// The link's reader always runs SINormalize; swapping in a SISubtract
+// reader checks the ablation's mode against a real leak + reflection.
 func TestSISubtractModeWorks(t *testing.T) {
 	cfg := cleanLinkConfig(19)
-	cfg.SI = reader.SISubtract
 	l := mustLink(t, cfg)
+	if err := l.rd.Reconfigure(reader.Config{Modem: cfg.Modem, SI: reader.SISubtract}); err != nil {
+		t.Fatal(err)
+	}
 	res, err := l.TransferFrame(testPayload(128, 20), TransferOptions{PadChips: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -314,11 +316,12 @@ func TestMultipleFramesSameLink(t *testing.T) {
 	}
 }
 
+// The link's paths carry no fader; fitting both with a per-block Rician
+// fader checks that the link still delivers through shallow fades.
 func TestFadingChannelStillMostlyWorks(t *testing.T) {
-	cfg := cleanLinkConfig(31)
-	cfg.Fading = channel.FadingRician
-	cfg.RicianK = 10 // strong LOS: shallow fades
-	l := mustLink(t, cfg)
+	l := mustLink(t, cleanLinkConfig(31))
+	l.fwd.Fader = channel.NewRicianFader(l.src, 10) // strong LOS: shallow fades
+	l.bwd.Fader = channel.NewRicianFader(l.src, 10)
 	delivered := 0
 	const trials = 10
 	for i := 0; i < trials; i++ {
@@ -335,10 +338,14 @@ func TestFadingChannelStillMostlyWorks(t *testing.T) {
 	}
 }
 
+// The link's tag has an ideal detector; swapping in one with an RC
+// checks that the link's view margin absorbs the detector's delay.
 func TestDetectorRCLink(t *testing.T) {
 	cfg := cleanLinkConfig(33)
-	cfg.DetectorCutoffHz = cfg.SampleRate / 8
 	l := mustLink(t, cfg)
+	if err := l.tg.Reconfigure(tag.Config{Modem: cfg.Modem, DetectorCutoffHz: sampleRate / 8, SampleRate: sampleRate}); err != nil {
+		t.Fatal(err)
+	}
 	res, err := l.TransferFrame(testPayload(96, 41), TransferOptions{PadChips: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -399,12 +406,12 @@ func TestTransferFrameIntoAllocFree(t *testing.T) {
 	}
 }
 
-// Reset must rewind a used link to exactly the state a fresh NewLink
-// would produce: same frames, same randomness, same energy accounting.
+// Reconfiguring a used link with its own configuration must reset it
+// to exactly the state a fresh NewLink would produce: same frames, same
+// randomness, same energy accounting.
 func TestLinkResetMatchesFresh(t *testing.T) {
 	cfg := LinkConfig{
 		Modem: phy.OOK{SamplesPerChip: 4}, ChunkSize: 16, Seed: 77,
-		Fading: channel.FadingGaussMarkov, GaussMarkovRho: 0.9,
 		DistanceM: 4, TagNoiseW: 1e-9,
 		Interferer: &InterfererConfig{PowerW: 0.05, DistanceToTagM: 3, DistanceToReaderM: 3, DutyCycle: 0.2},
 	}
@@ -432,7 +439,9 @@ func TestLinkResetMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	runFrames(reused) // dirty every piece of state
-	reused.Reset(cfg.Seed)
+	if err := reused.Reconfigure(cfg); err != nil {
+		t.Fatal(err)
+	}
 	got := runFrames(reused)
 
 	for i := range want {
@@ -440,7 +449,7 @@ func TestLinkResetMatchesFresh(t *testing.T) {
 		w.Chunks, g.Chunks = nil, nil // compared below; slices differ by identity
 		w.Payload, g.Payload = nil, nil
 		if fmt.Sprintf("%+v", w) != fmt.Sprintf("%+v", g) {
-			t.Fatalf("frame %d differs after Reset:\nfresh: %+v\nreset: %+v", i, want[i], got[i])
+			t.Fatalf("frame %d differs after Reconfigure:\nfresh: %+v\nreset: %+v", i, want[i], got[i])
 		}
 		if len(want[i].Chunks) != len(got[i].Chunks) {
 			t.Fatalf("frame %d chunk count differs", i)

@@ -12,6 +12,10 @@ var (
 	barker13 = []byte{1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1}
 )
 
+// WarmupChips is the preamble warmup length the reader transmits and
+// the tag correlates against.
+const WarmupChips = 16
+
 // DefaultPreambleChips returns the standard preamble chip sequence:
 // warmup alternating chips followed by the Barker-13 sync word.
 func DefaultPreambleChips(warmupChips int) []byte {

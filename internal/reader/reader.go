@@ -45,12 +45,13 @@ func (m SIMode) String() string {
 	}
 }
 
+// preamble is the chip sequence every frame starts with.
+var preamble = phy.DefaultPreambleChips(phy.WarmupChips)
+
 // Config describes a reader.
 type Config struct {
 	// Modem is the forward-link OOK modem.
 	Modem phy.OOK
-	// WarmupChips is the preamble warmup length (default 16).
-	WarmupChips int
 	// SI selects the self-interference strategy (default SINormalize).
 	SI SIMode
 	// FeedbackCode is the feedback line code (default Manchester).
@@ -96,7 +97,6 @@ func (l Layout) FlushBlock() (int, int) {
 type Reader struct {
 	cfg  Config
 	code phy.FM0
-	pre  []byte // preamble chips, fixed by the configuration
 
 	leakAmp float64 // SISubtract calibration
 
@@ -120,12 +120,6 @@ func New(cfg Config) (*Reader, error) {
 // configuration, keeping the waveform and decoder scratch of the old
 // one. The result behaves exactly like New(cfg).
 func (r *Reader) Reconfigure(cfg Config) error {
-	if cfg.WarmupChips == 0 {
-		cfg.WarmupChips = 16
-	}
-	if r.cfg.WarmupChips != cfg.WarmupChips || r.pre == nil {
-		r.pre = phy.DefaultPreambleChips(cfg.WarmupChips)
-	}
 	r.cfg = cfg
 	r.leakAmp = 0
 	return nil
@@ -175,15 +169,14 @@ func (r *Reader) BuildWaveform(wire []byte, hdr phy.Header, padChips int) (sigpr
 
 	wave := r.waveBuf[:0]
 	wave = o.AppendIdle(wave, padChips)
-	pre := r.pre
-	wave = o.AppendChips(wave, pre)
+	wave = o.AppendChips(wave, preamble)
 
 	r.bitBuf = sigproc.BytesToBits(wire, r.bitBuf[:0])
 	r.chipBuf = r.code.Encode(r.bitBuf, r.chipBuf[:0])
 	wave = o.AppendChips(wave, r.chipBuf)
 
 	layout := Layout{PadLen: padChips * sps}
-	layout.AcquireEnd = (padChips+len(pre)+phy.HeaderSize*8*cpb)*sps + 0
+	layout.AcquireEnd = (padChips+len(preamble)+phy.HeaderSize*8*cpb)*sps + 0
 	n := hdr.NumChunks()
 	if cap(r.chunkEnds) < n {
 		r.chunkEnds = make([]int, n)
@@ -191,7 +184,7 @@ func (r *Reader) BuildWaveform(wire []byte, hdr phy.Header, padChips int) (sigpr
 	layout.ChunkEnds = r.chunkEnds[:n]
 	for i := 0; i < n; i++ {
 		_, endByte := hdr.ChunkWireRange(i)
-		end := (padChips+len(pre))*sps + endByte*8*cpb*sps
+		end := (padChips+len(preamble))*sps + endByte*8*cpb*sps
 		if i == n-1 {
 			// Fold the frame trailer into the last chunk block.
 			end += phy.FrameTrailerSize * 8 * cpb * sps

@@ -22,8 +22,8 @@ func newTestReader(t *testing.T, cfg Config) *Reader {
 
 func TestNewDefaults(t *testing.T) {
 	r := newTestReader(t, Config{})
-	if r.cfg.WarmupChips != 16 {
-		t.Fatalf("defaults not applied: %+v", r.cfg)
+	if r.cfg.SI != SINormalize || r.cfg.FeedbackCode != feedback.CodeManchester {
+		t.Fatalf("zero config is not SINormalize + Manchester: %+v", r.cfg)
 	}
 }
 

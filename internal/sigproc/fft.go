@@ -73,39 +73,16 @@ func NextPow2(n int) int {
 
 // PowerSpectrum returns the power spectrum |FFT(x)|^2 / N of the buffer,
 // zero-padding to the next power of two. The input is not modified.
-// Repeated spectra should use PowerSpectrumInto to reuse the FFT
-// scratch and destination.
 func PowerSpectrum(x IQ) []float64 {
-	ps, _ := PowerSpectrumInto(x, nil, nil)
-	return ps
-}
-
-// PowerSpectrumInto computes the power spectrum |FFT(x)|^2 / N of the
-// buffer, zero-padding to the next power of two, using work as the
-// in-place FFT scratch and dst as the destination (either is allocated
-// when nil or short). It returns the spectrum and the (possibly grown)
-// scratch so callers can reuse both across calls. The input is not
-// modified.
-func PowerSpectrumInto(x IQ, work IQ, dst []float64) ([]float64, IQ) {
-	n := NextPow2(len(x))
-	if cap(work) < n {
-		work = make(IQ, n)
-	}
-	work = work[:n]
+	work := make(IQ, NextPow2(len(x)))
 	copy(work, x)
-	for i := len(x); i < n; i++ {
-		work[i] = 0
-	}
 	FFT(work)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	scale := 1 / float64(n)
+	ps := make([]float64, len(work))
+	scale := 1 / float64(len(work))
 	for i, v := range work {
-		dst[i] = (real(v)*real(v) + imag(v)*imag(v)) * scale
+		ps[i] = (real(v)*real(v) + imag(v)*imag(v)) * scale
 	}
-	return dst, work
+	return ps
 }
 
 // Goertzel computes the power of x at the single DFT bin closest to

@@ -151,44 +151,3 @@ func TestGoertzelEmpty(t *testing.T) {
 		t.Fatal("empty buffer should give 0")
 	}
 }
-
-// PowerSpectrumInto must match PowerSpectrum while reusing both the
-// FFT scratch and the destination.
-func TestPowerSpectrumIntoMatchesAndReuses(t *testing.T) {
-	x := make(IQ, 300) // non-power-of-two: exercises the zero padding
-	for i := range x {
-		x[i] = complex(float64(i%11)-5, float64(i%7)-3)
-	}
-	want := PowerSpectrum(x)
-	ps, work := PowerSpectrumInto(x, nil, nil)
-	if len(ps) != len(want) {
-		t.Fatalf("length %d != %d", len(ps), len(want))
-	}
-	for i := range ps {
-		if ps[i] != want[i] {
-			t.Fatalf("bin %d: %v != %v", i, ps[i], want[i])
-		}
-	}
-	// Dirty the scratch, then reuse it for a shorter input: the stale
-	// tail must be zero-padded away, not leak into the spectrum.
-	for i := range work {
-		work[i] = complex(1e9, -1e9)
-	}
-	short := x[:65]
-	wantShort := PowerSpectrum(short)
-	psShort, work2 := PowerSpectrumInto(short, work, ps)
-	for i := range psShort {
-		if psShort[i] != wantShort[i] {
-			t.Fatalf("reused scratch leaked: bin %d %v != %v", i, psShort[i], wantShort[i])
-		}
-	}
-	if &work2[0] != &work[0] {
-		t.Fatal("scratch was reallocated despite sufficient capacity")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		psShort, work2 = PowerSpectrumInto(short, work2, psShort)
-	})
-	if allocs != 0 {
-		t.Fatalf("PowerSpectrumInto with reused buffers allocates %.1f objects", allocs)
-	}
-}

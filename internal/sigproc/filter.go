@@ -113,9 +113,7 @@ type FIR struct {
 }
 
 // NewFIR returns a FIR filter with the given real tap coefficients.
-// It panics if no taps are supplied. The taps are copied; when many
-// filters share one designed tap set (e.g. a bank of identical channel
-// filters), NewFIRShared avoids the per-instance copy.
+// It panics if no taps are supplied. The taps are copied.
 func NewFIR(taps []float64) *FIR {
 	if len(taps) == 0 {
 		panic("sigproc: FIR needs at least one tap")
@@ -123,18 +121,6 @@ func NewFIR(taps []float64) *FIR {
 	t := make([]float64, len(taps))
 	copy(t, taps)
 	return &FIR{taps: t, delay: make(IQ, len(taps))}
-}
-
-// NewFIRShared returns a FIR filter that aliases the given tap slice
-// instead of copying it, so a bank of filters built from one designed
-// tap set shares a single backing array. The caller must not mutate
-// taps while any sharing filter is in use. It panics if no taps are
-// supplied.
-func NewFIRShared(taps []float64) *FIR {
-	if len(taps) == 0 {
-		panic("sigproc: FIR needs at least one tap")
-	}
-	return &FIR{taps: taps, delay: make(IQ, len(taps))}
 }
 
 // Push filters one sample and returns the output.

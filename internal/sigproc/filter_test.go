@@ -315,37 +315,6 @@ func TestFIRResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// NewFIRShared must behave identically to NewFIR while sharing the tap
-// storage across instances.
-func TestFIRSharedTaps(t *testing.T) {
-	taps := LowpassTaps(0.2e6, 1e6, 9)
-	x := make(IQ, 64)
-	for i := range x {
-		x[i] = complex(float64(i%5)-2, float64(i%3))
-	}
-	a := NewFIR(taps)
-	b := NewFIRShared(taps)
-	ya := a.Apply(x, nil)
-	yb := b.Apply(x, nil)
-	for i := range ya {
-		if ya[i] != yb[i] {
-			t.Fatalf("sample %d: shared %v != copied %v", i, yb[i], ya[i])
-		}
-	}
-	if b.NumTaps() != len(taps) {
-		t.Fatalf("NumTaps = %d", b.NumTaps())
-	}
-}
-
-func TestFIRSharedPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty taps")
-		}
-	}()
-	NewFIRShared(nil)
-}
-
 // newTestSource is a tiny deterministic value generator for filter
 // tests (decoupled from simrand to keep sigproc dependency-free).
 type testSource struct{ state uint64 }

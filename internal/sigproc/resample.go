@@ -31,24 +31,14 @@ func FractionalDelay(x IQ, delay float64, dst IQ) IQ {
 
 // Resample converts x from one sample rate to another using linear
 // interpolation. The output length is round(len(x) * outRate / inRate).
-// It panics if either rate is not positive. Repeated conversions should
-// use ResampleInto to reuse the destination buffer.
+// It panics if either rate is not positive.
 func Resample(x IQ, inRate, outRate float64) IQ {
-	return ResampleInto(x, inRate, outRate, nil)
-}
-
-// ResampleInto is Resample writing into dst (allocated if nil or short).
-func ResampleInto(x IQ, inRate, outRate float64, dst IQ) IQ {
 	if inRate <= 0 || outRate <= 0 {
 		panic("sigproc: resample rates must be positive")
 	}
-	n := int(math.Round(float64(len(x)) * outRate / inRate))
-	if cap(dst) < n {
-		dst = make(IQ, n)
-	}
-	out := dst[:n]
+	out := make(IQ, int(math.Round(float64(len(x))*outRate/inRate)))
 	if len(x) == 0 {
-		return out.Zero()
+		return out
 	}
 	ratio := inRate / outRate
 	for i := range out {

@@ -151,35 +151,3 @@ func TestUpsamplePanics(t *testing.T) {
 	}()
 	Upsample(NewIQ(4), -1, nil)
 }
-
-// ResampleInto must match Resample and reuse the destination,
-// including zeroing stale contents for empty input.
-func TestResampleIntoMatchesAndReuses(t *testing.T) {
-	x := make(IQ, 50)
-	for i := range x {
-		x[i] = complex(float64(i), -float64(i))
-	}
-	want := Resample(x, 1e6, 1.7e6)
-	dst := make(IQ, 0, len(want)+8)
-	got := ResampleInto(x, 1e6, 1.7e6, dst)
-	if len(got) != len(want) {
-		t.Fatalf("length %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: %v != %v", i, got[i], want[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		got = ResampleInto(x, 1e6, 1.7e6, got)
-	})
-	if allocs != 0 {
-		t.Fatalf("ResampleInto with reused dst allocates %.1f objects", allocs)
-	}
-	// Empty input into a dirty buffer must come back zeroed, exactly
-	// like the allocating form.
-	dirty := IQ{1 + 2i, 3 + 4i}
-	if out := ResampleInto(nil, 1, 1, dirty); len(out) != 0 {
-		t.Fatalf("empty input produced %d samples", len(out))
-	}
-}

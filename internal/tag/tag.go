@@ -39,11 +39,6 @@ type Config struct {
 	// Rho is the reflection coefficient: fraction of incident POWER
 	// re-radiated while in the reflect state. Default 0.3.
 	Rho float64
-	// WarmupChips is the preamble warmup length, matching the reader.
-	// Default 16.
-	WarmupChips int
-	// MinSyncCorr is the preamble detection threshold (default 0.7).
-	MinSyncCorr float64
 	// DetectorCutoffHz, when positive, low-pass filters the envelope with
 	// a single-pole RC at this cutoff, modelling the diode detector's RC.
 	// Zero disables the filter (ideal detector).
@@ -56,6 +51,10 @@ type Config struct {
 	Capacitor energy.Capacitor
 	CircuitW  float64
 }
+
+// minSyncCorr is the preamble detection threshold: the normalised
+// correlation peak a preamble must reach.
+const minSyncCorr = 0.7
 
 // Tag is a full-duplex backscatter tag instance. Not safe for concurrent
 // use.
@@ -95,8 +94,9 @@ func New(cfg Config) (*Tag, error) {
 
 // Reconfigure re-initialises the tag in place for a new configuration,
 // keeping the block-sized scratch buffers of the old one (the preamble
-// correlator is rebuilt only when the modem or warmup changes). The
-// result behaves exactly like New(cfg).
+// correlator is rebuilt only when the modem changes). The result
+// behaves exactly like New(cfg): the frame machine is idle and the
+// capacitor is charged to its (defaulted) maximum voltage.
 func (t *Tag) Reconfigure(cfg Config) error {
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.3
@@ -104,17 +104,11 @@ func (t *Tag) Reconfigure(cfg Config) error {
 	if cfg.Rho < 0 || cfg.Rho > 1 {
 		return fmt.Errorf("tag: rho %g outside [0, 1]", cfg.Rho)
 	}
-	if cfg.WarmupChips == 0 {
-		cfg.WarmupChips = 16
-	}
-	if cfg.MinSyncCorr == 0 {
-		cfg.MinSyncCorr = 0.7
-	}
 	if cfg.DetectorCutoffHz > 0 && cfg.SampleRate <= 0 {
 		return errors.New("tag: detector RC requires SampleRate")
 	}
-	if t.sync == nil || t.cfg.Modem != cfg.Modem || t.cfg.WarmupChips != cfg.WarmupChips {
-		t.sync = phy.NewPreambleDetector(phy.PreambleTemplate(cfg.Modem, phy.DefaultPreambleChips(cfg.WarmupChips)))
+	if t.sync == nil || t.cfg.Modem != cfg.Modem {
+		t.sync = phy.NewPreambleDetector(phy.PreambleTemplate(cfg.Modem, phy.DefaultPreambleChips(phy.WarmupChips)))
 	}
 	t.cfg = cfg
 	t.detector = nil
@@ -122,7 +116,7 @@ func (t *Tag) Reconfigure(cfg Config) error {
 		t.detector = sigproc.NewSinglePoleIIR(cfg.DetectorCutoffHz, cfg.SampleRate)
 	}
 	t.budget = energy.Budget{Harvester: cfg.Harvester, Cap: cfg.Capacitor, CircuitW: cfg.CircuitW}
-	t.budget.Cap.SetVoltage(t.budget.Cap.MaxVoltageV)
+	t.budget.Cap.SetVoltage(math.Inf(1)) // clamps to the voltage cap
 	t.resetFrame()
 	t.muted = false
 	return nil
@@ -217,7 +211,7 @@ func (t *Tag) Acquire(view sigproc.IQ, stateLen int, sampleRate float64) (states
 	t.accountEnergy(view[:stateLen], states, sampleRate)
 
 	env := t.envelope(view, stateLen)
-	sync, ok := t.sync.Detect(env, t.cfg.MinSyncCorr)
+	sync, ok := t.sync.Detect(env, minSyncCorr)
 	if !ok {
 		return states, AcquireResult{}
 	}
@@ -400,17 +394,6 @@ func (t *Tag) Payload() []byte {
 // internal buffer: valid only until the next Acquire, and not to be
 // mutated. The allocation-free form of Payload for per-frame loops.
 func (t *Tag) PayloadView() []byte { return t.payload }
-
-// Reset restores the tag to its power-on state — frame machine idle,
-// capacitor recharged, outage statistics cleared — reusing all internal
-// buffers. After Reset the tag behaves exactly like a freshly
-// constructed one.
-func (t *Tag) Reset() {
-	t.resetFrame()
-	t.muted = false
-	t.budget.Reset()
-	t.budget.Cap.SetVoltage(t.budget.Cap.MaxVoltageV)
-}
 
 // HarvestedOutageFraction reports the fraction of accounted time the tag
 // spent browned out.

@@ -25,8 +25,25 @@ func TestNewDefaults(t *testing.T) {
 	if tg.Rho() != 0.3 {
 		t.Fatalf("default rho = %g", tg.Rho())
 	}
-	if tg.cfg.WarmupChips != 16 {
-		t.Fatalf("defaults: %+v", tg.cfg)
+}
+
+// A zero-value capacitor means the documented defaults (100 µF, 3.3 V,
+// 1.8 V), so it must start charged exactly like those values spelled
+// out: full and above brown-out.
+func TestDefaultCapacitorStartsFull(t *testing.T) {
+	zero := newTestTag(t, Config{})
+	explicit := newTestTag(t, Config{
+		Capacitor: energy.Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8},
+	})
+	if zero.StoredEnergy() != explicit.StoredEnergy() {
+		t.Fatalf("zero-value capacitor stores %g J, explicit defaults %g J",
+			zero.StoredEnergy(), explicit.StoredEnergy())
+	}
+	if want := explicit.budget.Cap.MaxEnergy(); explicit.StoredEnergy() != want {
+		t.Fatalf("tag starts at %g J, want the full %g J", explicit.StoredEnergy(), want)
+	}
+	if !zero.budget.Cap.Alive() || !explicit.budget.Cap.Alive() {
+		t.Fatal("a freshly built tag must start above brown-out")
 	}
 }
 
