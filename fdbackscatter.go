@@ -36,11 +36,12 @@ import (
 // Re-exported configuration and result types for the waveform link.
 type (
 	// LinkConfig configures a waveform-level full-duplex backscatter
-	// link: modem, transmit power, distance, tag reflection and energy
-	// budget, noise, optional interferer and seed. The plant is fixed:
+	// link: modem, transmit power, distance, tag reflection and circuit
+	// power, noise, optional interferer and seed. The plant is fixed:
 	// 1 MHz sampling, log-distance path loss (n=2.5 at 915 MHz) without
 	// fading, -20 dB TX->RX leakage removed by the reader's envelope
-	// normalisation, and Manchester feedback.
+	// normalisation, Manchester feedback through an ideal envelope
+	// detector, and the default tag harvester and storage capacitor.
 	LinkConfig = core.LinkConfig
 	// InterfererConfig adds a co-channel interferer to a LinkConfig.
 	InterfererConfig = core.InterfererConfig
@@ -114,8 +115,9 @@ type (
 	AdaptResult = rateadapt.TraceResult
 )
 
-// RunAdaptationTrace drives the named policy ("fd", "arf", or "fixed-N")
-// over nChunks chunk-times. Unknown names default to "fd".
+// RunAdaptationTrace drives the named policy over nChunks chunk-times:
+// "fd", "arf", "fixed-slow" (always the first rate) or "fixed-fast"
+// (always the last). Unknown names default to "fd".
 func RunAdaptationTrace(cfg AdaptConfig, policy string, nChunks int) AdaptResult {
 	n := len(cfg.Rates)
 	if n == 0 {

@@ -42,8 +42,6 @@ type MediumConfig struct {
 	// log-distance n=2.5 at 915 MHz (the UHF ISM band the paper's
 	// hardware used).
 	PathLoss PathLoss
-	// SampleRate in Hz, used for propagation delays (0 disables delays).
-	SampleRate float64
 	// Fading selects the small-scale model applied to every path.
 	Fading FadingKind
 	// RicianK is the K factor when Fading == FadingRician.
@@ -64,9 +62,7 @@ type Node struct {
 }
 
 // Medium holds node geometry and hands out pairwise propagation paths
-// with consistent gains, delays and independent fading streams. The
-// waveform-level link simulator (internal/core) composes these paths to
-// build the direct, backscatter and interference signal sums.
+// with consistent gains and independent fading streams.
 type Medium struct {
 	cfg   MediumConfig
 	src   *simrand.Source
@@ -137,14 +133,7 @@ func (m *Medium) Path(a, b string) *Path {
 	if p, ok := m.paths[key]; ok {
 		return p
 	}
-	d := m.Distance(a, b)
-	p := &Path{
-		Gain:       m.cfg.PathLoss.Gain(d),
-		SampleRate: m.cfg.SampleRate,
-	}
-	if m.cfg.SampleRate > 0 {
-		p.DelaySamples = PropagationDelaySamples(d, m.cfg.SampleRate)
-	}
+	p := &Path{Gain: m.Gain(a, b)}
 	switch m.cfg.Fading {
 	case FadingRayleigh:
 		p.Fader = NewRayleighFader(m.src)

@@ -9,7 +9,7 @@ import (
 
 // Path applies one directed propagation path to a block of transmit
 // samples: amplitude gain from path loss, a per-block fading coefficient,
-// fractional-sample propagation delay, and carrier frequency offset.
+// and carrier frequency offset.
 // A Path is the unit the Medium hands out; it can also be built directly
 // for calibrated point-to-point experiments.
 type Path struct {
@@ -19,9 +19,6 @@ type Path struct {
 	// Fader supplies the per-block small-scale coefficient; nil means an
 	// ideal (coefficient 1) channel.
 	Fader Fader
-	// DelaySamples is the propagation delay in samples (may be
-	// fractional).
-	DelaySamples float64
 	// CFOHz is the residual carrier frequency offset between the two
 	// radios; 0 for the monostatic backscatter path (same oscillator).
 	CFOHz float64
@@ -31,7 +28,6 @@ type Path struct {
 	coeff    complex128
 	haveCoef bool
 	phase    float64
-	delayBuf sigproc.IQ
 }
 
 // BlockStart draws the fading coefficient for the next coherence block.
@@ -63,13 +59,8 @@ func (p *Path) AddTo(tx sigproc.IQ, dst sigproc.IQ) {
 		panic("channel: AddTo destination shorter than input")
 	}
 	h := p.Coeff()
-	src := tx
-	if p.DelaySamples != 0 {
-		p.delayBuf = sigproc.FractionalDelay(tx, p.DelaySamples, p.delayBuf)
-		src = p.delayBuf
-	}
 	if p.CFOHz == 0 {
-		for i, v := range src {
+		for i, v := range tx {
 			dst[i] += v * h
 		}
 		return
@@ -79,7 +70,7 @@ func (p *Path) AddTo(tx sigproc.IQ, dst sigproc.IQ) {
 	}
 	step := 2 * math.Pi * p.CFOHz / p.SampleRate
 	ph := p.phase
-	for i, v := range src {
+	for i, v := range tx {
 		rot := cmplx.Exp(complex(0, ph))
 		dst[i] += v * h * rot
 		ph += step

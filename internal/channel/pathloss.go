@@ -1,9 +1,9 @@
 // Package channel models the over-the-air substrate the HotNets'13
 // testbed provided physically: distance-dependent path loss, block and
-// correlated fading, additive white Gaussian noise, propagation delay,
-// carrier frequency offset, multipath, and a multi-node Medium that ties
-// node geometry to pairwise propagation paths (including the
-// tag-reflection paths that make backscatter links monostatic).
+// correlated fading, additive white Gaussian noise, carrier frequency
+// offset, and a multi-node Medium that ties node geometry to pairwise
+// propagation paths (including the tag-reflection paths that make
+// backscatter links monostatic).
 //
 // Conventions: path gains are LINEAR POWER gains (always <= 1 for a
 // passive channel); complex channel coefficients are amplitude-domain, so

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/channel"
-	"repro/internal/energy"
 	"repro/internal/feedback"
 	"repro/internal/phy"
 	"repro/internal/reader"
@@ -28,7 +27,8 @@ import (
 // The plant itself is fixed: 1 MHz sampling, log-distance path loss
 // (n=2.5 at 915 MHz) on both directions with no small-scale fading, a
 // reader that removes its own TX->RX leakage by SINormalize, and a tag
-// that sends Manchester feedback through an ideal envelope detector.
+// that sends Manchester feedback through an ideal envelope detector and
+// harvests into the default harvester and storage capacitor.
 type LinkConfig struct {
 	// Modem is the forward OOK modem (shared by reader and tag).
 	Modem phy.OOK
@@ -45,10 +45,8 @@ type LinkConfig struct {
 	// 1e-13 W, about -100 dBm).
 	ReaderNoiseW float64
 	TagNoiseW    float64
-	// Harvester, Capacitor, CircuitW configure the tag energy budget.
-	Harvester energy.Harvester
-	Capacitor energy.Capacitor
-	CircuitW  float64
+	// CircuitW is the tag's continuous power consumption in watts.
+	CircuitW float64
 	// Interferer, when non-nil, adds a co-channel interferer.
 	Interferer *InterfererConfig
 	// Seed drives all randomness (noise, pad jitter, interferer timing).
@@ -146,10 +144,7 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 // cell.
 func (l *Link) Reconfigure(cfg LinkConfig) error {
 	cfg.applyDefaults()
-	tgCfg := tag.Config{
-		Modem: cfg.Modem, Rho: cfg.Rho,
-		Harvester: cfg.Harvester, Capacitor: cfg.Capacitor, CircuitW: cfg.CircuitW,
-	}
+	tgCfg := tag.Config{Modem: cfg.Modem, Rho: cfg.Rho, CircuitW: cfg.CircuitW}
 	if l.rd == nil {
 		l.rd = &reader.Reader{}
 	}

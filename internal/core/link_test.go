@@ -9,7 +9,6 @@ import (
 	"repro/internal/phy"
 	"repro/internal/reader"
 	"repro/internal/simrand"
-	"repro/internal/tag"
 )
 
 func testPayload(n int, seed uint64) []byte {
@@ -83,11 +82,7 @@ func TestCleanTransferDeliversEverything(t *testing.T) {
 }
 
 func TestTransferHarvestsEnergy(t *testing.T) {
-	cfg := cleanLinkConfig(3)
-	cfg.Capacitor.CapacitanceF = 100e-6
-	cfg.Capacitor.MaxVoltageV = 3.3
-	cfg.Capacitor.MinVoltageV = 1.8
-	l := mustLink(t, cfg)
+	l := mustLink(t, cleanLinkConfig(3))
 	// Drain the cap below full so harvesting is visible.
 	l.Tag().StoredEnergy()
 	res, err := l.TransferFrame(testPayload(128, 4), TransferOptions{PadChips: 8})
@@ -335,24 +330,6 @@ func TestFadingChannelStillMostlyWorks(t *testing.T) {
 	}
 	if delivered < trials/2 {
 		t.Fatalf("K=10 Rician delivered only %d/%d", delivered, trials)
-	}
-}
-
-// The link's tag has an ideal detector; swapping in one with an RC
-// checks that the link's view margin absorbs the detector's delay.
-func TestDetectorRCLink(t *testing.T) {
-	cfg := cleanLinkConfig(33)
-	l := mustLink(t, cfg)
-	if err := l.tg.Reconfigure(tag.Config{Modem: cfg.Modem, DetectorCutoffHz: sampleRate / 8, SampleRate: sampleRate}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := l.TransferFrame(testPayload(96, 41), TransferOptions{PadChips: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Acquired || !res.DeliveredOK {
-		t.Fatalf("RC detector link failed: acquired=%v delivered=%v fwdErrs=%d",
-			res.Acquired, res.DeliveredOK, res.ForwardBitErrors)
 	}
 }
 

@@ -154,37 +154,6 @@ func Normalize(rxEnv, txEnv []float64, floor float64, dst []float64) []float64 {
 	return dst
 }
 
-// DecodeBits slices feedback bits out of a normalised envelope stream,
-// appending decoded bits to dst. The stream must start at a bit boundary.
-// For NRZ, threshold separates reflect from absorb levels (use
-// EstimateThreshold or a tracker); Manchester ignores it. Trailing
-// samples that do not fill a bit are ignored.
-func (c Config) DecodeBits(norm []float64, threshold float64, dst []byte) []byte {
-	n := c.SamplesPerBit
-	switch c.Code {
-	case CodeNRZ:
-		for i := 0; i+n <= len(norm); i += n {
-			if meanOf(norm[i:i+n]) > threshold {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		}
-	case CodeManchester:
-		half := n / 2
-		for i := 0; i+n <= len(norm); i += n {
-			a := meanOf(norm[i : i+half])
-			b := meanOf(norm[i+half : i+n])
-			if a > b {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		}
-	}
-	return dst
-}
-
 // DecodeOne decodes a single feedback bit from exactly one bit period of
 // normalised samples. It returns the bit and a soft decision margin
 // (positive = confident); the margin is the level separation achieved in

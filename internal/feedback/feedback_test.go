@@ -115,6 +115,16 @@ func synthNorm(c Config, bits []byte, delta, sigma float64, seed uint64) []float
 	return out
 }
 
+// decodeAll slices every whole bit period of norm through DecodeOne.
+func decodeAll(c Config, norm []float64, threshold float64) []byte {
+	var bits []byte
+	for i := 0; i+c.SamplesPerBit <= len(norm); i += c.SamplesPerBit {
+		bit, _ := c.DecodeOne(norm[i:i+c.SamplesPerBit], threshold)
+		bits = append(bits, bit)
+	}
+	return bits
+}
+
 func TestDecodeBitsCleanBothCodes(t *testing.T) {
 	src := simrand.New(1)
 	bits := make([]byte, 64)
@@ -124,7 +134,7 @@ func TestDecodeBitsCleanBothCodes(t *testing.T) {
 	for _, code := range []Code{CodeManchester, CodeNRZ} {
 		c := Config{SamplesPerBit: 16, Code: code}
 		norm := synthNorm(c, bits, 0.1, 0, 2)
-		got := c.DecodeBits(norm, 1.05, nil)
+		got := decodeAll(c, norm, 1.05)
 		if !bytes.Equal(got, bits) {
 			t.Fatalf("%v: clean decode failed", code)
 		}
@@ -141,7 +151,7 @@ func TestDecodeBitsNoisyAveragingWins(t *testing.T) {
 	}
 	c := Config{SamplesPerBit: 256, Code: CodeManchester}
 	norm := synthNorm(c, bits, 0.05, 0.05, 4)
-	got := c.DecodeBits(norm, 0, nil)
+	got := decodeAll(c, norm, 0)
 	if errs := countErrs(got, bits); errs != 0 {
 		t.Fatalf("256x averaging: %d/200 errors", errs)
 	}
@@ -161,7 +171,7 @@ func TestDecodeBitsRateBERTradeoff(t *testing.T) {
 		c := Config{SamplesPerBit: spb, Code: CodeManchester}
 		bits := mkBits(4000)
 		norm := synthNorm(c, bits, 0.02, 0.15, 6)
-		got := c.DecodeBits(norm, 0, nil)
+		got := decodeAll(c, norm, 0)
 		return float64(countErrs(got, bits)) / float64(len(bits))
 	}
 	fast := berAt(8)
@@ -304,7 +314,7 @@ func TestManchesterBERMatchesMonteCarlo(t *testing.T) {
 		bits[i] = src.Bit()
 	}
 	norm := synthNorm(c, bits, delta, sigma, 18)
-	got := c.DecodeBits(norm, 0, nil)
+	got := decodeAll(c, norm, 0)
 	empirical := float64(countErrs(got, bits)) / nBits
 	analytic := ManchesterBER(delta, sigma, spb)
 	if empirical < analytic*0.7 || empirical > analytic*1.4 {
@@ -347,7 +357,7 @@ func TestStatesDecodeRoundTripProperty(t *testing.T) {
 		}
 		c := Config{SamplesPerBit: 8, Code: code}
 		norm := synthNorm(c, bits, 0.3, 0, 99)
-		got := c.DecodeBits(norm, 1.15, nil)
+		got := decodeAll(c, norm, 1.15)
 		return bytes.Equal(got, bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -168,14 +168,6 @@ func (r Result) MeanFeedbackDelayChunks() float64 {
 	return float64(r.FeedbackDelaySum) / float64(r.FeedbackDelayCount)
 }
 
-// DeliveryRate returns delivered frames over sent frames.
-func (r Result) DeliveryRate() float64 {
-	if r.FramesSent == 0 {
-		return 0
-	}
-	return float64(r.FramesDelivered) / float64(r.FramesSent)
-}
-
 // Protocol runs frames through a loss process and accumulates a Result.
 // Implementations may keep internal scratch between Run calls, and the
 // Loss processes they consume are themselves stateful — a Protocol

@@ -271,3 +271,54 @@ func TestWireSizeFormula(t *testing.T) {
 		t.Fatalf("WireSize = %d, want %d", h.WireSize(), want)
 	}
 }
+
+// FuzzParseFrame feeds arbitrary bytes to the header and frame parsers,
+// which must never panic and must size an accepted frame by its header.
+// The same bytes, read as header fields plus a payload, must also
+// survive a BuildFrame -> ParseFrame round trip intact.
+func FuzzParseFrame(f *testing.F) {
+	for _, c := range []struct {
+		n  int
+		cs uint8
+	}{{0, 0}, {5, 0}, {40, 16}, {9, 1}} {
+		wire, err := BuildFrame(testHeader(c.n, c.cs), bytes.Repeat([]byte{0xA5}, c.n), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if h, err := ParseHeader(b); err == nil && h.Version != ProtocolVersion {
+			t.Fatalf("ParseHeader accepted version %d", h.Version)
+		}
+		if p, err := ParseFrame(b); err == nil {
+			if len(p.Payload) != int(p.Header.PayloadLen) {
+				t.Fatalf("payload %d bytes, header says %d", len(p.Payload), p.Header.PayloadLen)
+			}
+			if len(p.ChunkOK) != p.Header.NumChunks() {
+				t.Fatalf("%d chunk flags for %d chunks", len(p.ChunkOK), p.Header.NumChunks())
+			}
+		}
+
+		if len(b) < 3 || len(b)-3 > MaxPayload {
+			return
+		}
+		h := Header{Type: FrameType(b[0] & 0x0F), Seq: b[1], ChunkSize: b[2]}
+		payload := b[3:]
+		wire, err := BuildFrame(h, payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ParseFrame(wire)
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if !bytes.Equal(p.Payload, payload) || !p.FrameOK || !p.AllChunksOK() {
+			t.Fatalf("round trip: payload equal %v, FrameOK %v, bad chunks %v",
+				bytes.Equal(p.Payload, payload), p.FrameOK, p.BadChunks())
+		}
+		if p.Header.Type != h.Type || p.Header.Seq != h.Seq || p.Header.ChunkSize != h.ChunkSize {
+			t.Fatalf("round trip header %+v from %+v", p.Header, h)
+		}
+	})
+}

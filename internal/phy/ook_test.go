@@ -1,10 +1,9 @@
 package phy
 
 import (
+	"bytes"
 	"math"
 	"testing"
-
-	"repro/internal/sigproc"
 )
 
 func TestOOKDefaults(t *testing.T) {
@@ -91,7 +90,7 @@ func TestOOKModulateDemodulateRoundTrip(t *testing.T) {
 	env := wave.Envelope(nil)
 	levels := o.ChipLevels(env, 0, nil)
 	got := (&FM0{}).Decode(levels, o.SliceThreshold(1), nil)
-	if sigproc.CountBitErrors(got, bits) != 0 {
+	if !bytes.Equal(got, bits) {
 		t.Fatal("noiseless OOK round trip must be perfect")
 	}
 }

@@ -106,13 +106,6 @@ func (d *PreambleDetector) Detect(env []float64, minCorr float64) (SyncResult, b
 	}, true
 }
 
-// DetectPreamble is the one-shot form of PreambleDetector.Detect; it
-// re-derives the template state (and allocates) on every call, so
-// per-frame receivers should hold a detector instead.
-func DetectPreamble(env, template []float64, minCorr float64) (SyncResult, bool) {
-	return NewPreambleDetector(template).Detect(env, minCorr)
-}
-
 // EstimateChannelAmp estimates the channel amplitude gain from the
 // preamble portion of a received envelope, given the known transmitted
 // template. It uses the ratio of mean received to mean transmitted

@@ -30,29 +30,6 @@ func BitsToBytes(bits []byte, dst []byte) []byte {
 	return dst
 }
 
-// CountBitErrors returns the number of positions where a and b differ,
-// comparing up to the shorter length, plus the length difference (missing
-// bits count as errors).
-func CountBitErrors(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		if a[i]&1 != b[i]&1 {
-			errs++
-		}
-	}
-	if len(a) > n {
-		errs += len(a) - n
-	}
-	if len(b) > n {
-		errs += len(b) - n
-	}
-	return errs
-}
-
 // PRBS is a linear-feedback shift register pseudo-random bit generator.
 // The zero value is not usable; construct with NewPRBS7, NewPRBS15 or
 // NewPRBS31.

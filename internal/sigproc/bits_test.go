@@ -41,24 +41,6 @@ func TestBytesToBitsAppends(t *testing.T) {
 	}
 }
 
-func TestCountBitErrors(t *testing.T) {
-	a := []byte{0, 1, 1, 0}
-	b := []byte{0, 1, 0, 0}
-	if got := CountBitErrors(a, b); got != 1 {
-		t.Fatalf("got %d, want 1", got)
-	}
-	if got := CountBitErrors(a, a); got != 0 {
-		t.Fatalf("identical slices: got %d errors", got)
-	}
-	// Length mismatch counts missing bits as errors.
-	if got := CountBitErrors([]byte{1, 1, 1}, []byte{1}); got != 2 {
-		t.Fatalf("length mismatch: got %d, want 2", got)
-	}
-	if got := CountBitErrors([]byte{1}, []byte{1, 1, 1}); got != 2 {
-		t.Fatalf("length mismatch (other side): got %d, want 2", got)
-	}
-}
-
 func TestPRBS7Period(t *testing.T) {
 	p := NewPRBS7(1)
 	seen := make(map[uint32]bool)

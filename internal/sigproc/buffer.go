@@ -152,19 +152,6 @@ func (x IQ) Envelope(dst []float64) []float64 {
 	return dst
 }
 
-// EnvelopeSq writes |x[i]|^2 into dst and returns it. Squared envelopes
-// avoid the sqrt and model a square-law (diode) detector.
-func (x IQ) EnvelopeSq(dst []float64) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = real(v)*real(v) + imag(v)*imag(v)
-	}
-	return dst
-}
-
 // PeakAbs returns the maximum |x[i]| over the buffer (0 if empty).
 func (x IQ) PeakAbs() float64 {
 	var m float64
@@ -205,20 +192,6 @@ func MeanFloat(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Variance returns the population variance of a real slice (0 if empty).
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := MeanFloat(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
 	}
 	return s / float64(len(x))
 }

@@ -95,10 +95,6 @@ func TestEnvelope(t *testing.T) {
 			t.Fatalf("Envelope[%d] = %g, want %g", i, env[i], want[i])
 		}
 	}
-	sq := x.EnvelopeSq(nil)
-	if !almostEq(sq[0], 25, eps) {
-		t.Fatalf("EnvelopeSq[0] = %g, want 25", sq[0])
-	}
 }
 
 func TestEnvelopeReuseBuffer(t *testing.T) {
@@ -158,10 +154,7 @@ func TestMeanVariance(t *testing.T) {
 	if got := MeanFloat(x); !almostEq(got, 2.5, eps) {
 		t.Fatalf("mean = %g", got)
 	}
-	if got := Variance(x); !almostEq(got, 1.25, eps) {
-		t.Fatalf("variance = %g", got)
-	}
-	if MeanFloat(nil) != 0 || Variance(nil) != 0 {
+	if MeanFloat(nil) != 0 {
 		t.Fatal("empty stats should be zero")
 	}
 }

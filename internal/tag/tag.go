@@ -14,15 +14,14 @@
 // Block views and margins: the incident buffer passed to Acquire and
 // ProcessChunk is a VIEW of the continuous incident waveform that may
 // extend up to one chip beyond the region the call emits antenna states
-// for (stateLen). The margin lets the decoder absorb the small group
-// delay of the envelope-detector RC, which shifts chip boundaries by a
-// sample or two: the tag measures the residual offset during preamble
-// sync and reads each chunk's chips at that offset, borrowing the margin
-// samples when the last chip straddles the block edge.
+// for (stateLen). The margin lets the decoder absorb a residual shift of
+// the chip boundaries by a sample or two: the tag measures the offset
+// during preamble sync and reads each chunk's chips at that offset,
+// borrowing the margin samples when the last chip straddles the block
+// edge.
 package tag
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -32,24 +31,17 @@ import (
 	"repro/internal/sigproc"
 )
 
-// Config describes a tag.
+// Config describes a tag. The envelope detector is ideal, and the power
+// subsystem is the default harvester and storage capacitor
+// (energy.Harvester{} and energy.Capacitor{}).
 type Config struct {
 	// Modem must match the reader's forward-link modem.
 	Modem phy.OOK
 	// Rho is the reflection coefficient: fraction of incident POWER
 	// re-radiated while in the reflect state. Default 0.3.
 	Rho float64
-	// DetectorCutoffHz, when positive, low-pass filters the envelope with
-	// a single-pole RC at this cutoff, modelling the diode detector's RC.
-	// Zero disables the filter (ideal detector).
-	DetectorCutoffHz float64
-	// SampleRate is required when DetectorCutoffHz > 0.
-	SampleRate float64
-	// Harvester and Capacitor model the power subsystem; CircuitW is the
-	// tag's continuous consumption. Leave zero to use defaults.
-	Harvester energy.Harvester
-	Capacitor energy.Capacitor
-	CircuitW  float64
+	// CircuitW is the tag's continuous power consumption in watts.
+	CircuitW float64
 }
 
 // minSyncCorr is the preamble detection threshold: the normalised
@@ -59,11 +51,10 @@ const minSyncCorr = 0.7
 // Tag is a full-duplex backscatter tag instance. Not safe for concurrent
 // use.
 type Tag struct {
-	cfg      Config
-	code     phy.FM0
-	sync     *phy.PreambleDetector
-	budget   energy.Budget
-	detector *sigproc.SinglePoleIIR
+	cfg    Config
+	code   phy.FM0
+	sync   *phy.PreambleDetector
+	budget energy.Budget
 
 	// Frame state.
 	muted      bool
@@ -104,18 +95,11 @@ func (t *Tag) Reconfigure(cfg Config) error {
 	if cfg.Rho < 0 || cfg.Rho > 1 {
 		return fmt.Errorf("tag: rho %g outside [0, 1]", cfg.Rho)
 	}
-	if cfg.DetectorCutoffHz > 0 && cfg.SampleRate <= 0 {
-		return errors.New("tag: detector RC requires SampleRate")
-	}
 	if t.sync == nil || t.cfg.Modem != cfg.Modem {
 		t.sync = phy.NewPreambleDetector(phy.PreambleTemplate(cfg.Modem, phy.DefaultPreambleChips(phy.WarmupChips)))
 	}
 	t.cfg = cfg
-	t.detector = nil
-	if cfg.DetectorCutoffHz > 0 {
-		t.detector = sigproc.NewSinglePoleIIR(cfg.DetectorCutoffHz, cfg.SampleRate)
-	}
-	t.budget = energy.Budget{Harvester: cfg.Harvester, Cap: cfg.Capacitor, CircuitW: cfg.CircuitW}
+	t.budget = energy.Budget{CircuitW: cfg.CircuitW}
 	t.budget.Cap.SetVoltage(math.Inf(1)) // clamps to the voltage cap
 	t.resetFrame()
 	t.muted = false
@@ -131,28 +115,12 @@ func (t *Tag) Rho() float64 { return t.cfg.Rho }
 func (t *Tag) SetMute(m bool) { t.muted = m }
 
 // MarginSamples returns the view margin (in samples) the link should
-// extend each block by so the tag can absorb detector group delay.
+// extend each block by so the tag can absorb its chip-boundary offset.
 func (t *Tag) MarginSamples() int { return t.cfg.Modem.SamplesPerChipN() }
 
-// envelope computes the detector output for a view. The persistent RC
-// state advances only over the first stateLen samples (each physical
-// sample is filtered exactly once across calls); the overlap margin is
-// filtered with a copy of the state.
-func (t *Tag) envelope(view sigproc.IQ, stateLen int) []float64 {
+// envelope computes the ideal detector output |view| into scratch.
+func (t *Tag) envelope(view sigproc.IQ) []float64 {
 	t.envBuf = view.Envelope(t.envBuf[:0])
-	if t.detector == nil {
-		return t.envBuf
-	}
-	if stateLen > len(t.envBuf) {
-		stateLen = len(t.envBuf)
-	}
-	for i := 0; i < stateLen; i++ {
-		t.envBuf[i] = t.detector.Push(t.envBuf[i])
-	}
-	scratch := *t.detector // value copy: margin does not advance state
-	for i := stateLen; i < len(t.envBuf); i++ {
-		t.envBuf[i] = scratch.Push(t.envBuf[i])
-	}
 	return t.envBuf
 }
 
@@ -193,7 +161,7 @@ type AcquireResult struct {
 	// AmpEstimate is the estimated forward channel amplitude gain.
 	AmpEstimate float64
 	// ChipOffset is the residual chip-boundary offset carried into the
-	// chunk blocks (detector group delay).
+	// chunk blocks.
 	ChipOffset int
 }
 
@@ -210,7 +178,7 @@ func (t *Tag) Acquire(view sigproc.IQ, stateLen int, sampleRate float64) (states
 	states = t.statesBuf
 	t.accountEnergy(view[:stateLen], states, sampleRate)
 
-	env := t.envelope(view, stateLen)
+	env := t.envelope(view)
 	sync, ok := t.sync.Detect(env, minSyncCorr)
 	if !ok {
 		return states, AcquireResult{}
@@ -257,9 +225,6 @@ func (t *Tag) Acquire(view sigproc.IQ, stateLen int, sampleRate float64) (states
 // Acquired reports whether the tag locked onto a frame.
 func (t *Tag) Acquired() bool { return t.acquired }
 
-// Header returns the decoded header (valid after a successful Acquire).
-func (t *Tag) Header() phy.Header { return t.header }
-
 // ProcessChunk consumes the view carrying chunk index t.chunkIdx (plus
 // up to one chip of margin) and returns the antenna states held during
 // the block's stateLen samples: the feedback bit pending from the
@@ -281,7 +246,7 @@ func (t *Tag) ProcessChunk(view sigproc.IQ, stateLen int, sampleRate float64) (s
 	states = t.emitFeedback(stateLen)
 	t.accountEnergy(view[:stateLen], states, sampleRate)
 
-	env := t.envelope(view, stateLen)
+	env := t.envelope(view)
 	// Antenna-mismatch penalty: while the tag reflects, only (1-rho) of
 	// the incident power reaches its own detector, so the envelope it
 	// decodes from is attenuated by sqrt(1-rho) over the reflect
@@ -411,9 +376,6 @@ func (t *Tag) resetFrame() {
 	t.chunkOK = t.chunkOK[:0]
 	t.payload = t.payload[:0]
 	t.pendingBit = -1
-	if t.detector != nil {
-		t.detector.Reset()
-	}
 }
 
 // ReflectWaveform converts antenna states plus the physical incident

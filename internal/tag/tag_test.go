@@ -27,22 +27,15 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-// A zero-value capacitor means the documented defaults (100 µF, 3.3 V,
-// 1.8 V), so it must start charged exactly like those values spelled
-// out: full and above brown-out.
+// The tag's capacitor is the documented default (100 µF, 3.3 V, 1.8 V),
+// and a freshly built tag starts it full and above brown-out.
 func TestDefaultCapacitorStartsFull(t *testing.T) {
-	zero := newTestTag(t, Config{})
-	explicit := newTestTag(t, Config{
-		Capacitor: energy.Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8},
-	})
-	if zero.StoredEnergy() != explicit.StoredEnergy() {
-		t.Fatalf("zero-value capacitor stores %g J, explicit defaults %g J",
-			zero.StoredEnergy(), explicit.StoredEnergy())
+	tg := newTestTag(t, Config{})
+	want := (&energy.Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8}).MaxEnergy()
+	if tg.StoredEnergy() != want {
+		t.Fatalf("tag starts at %g J, want the full %g J", tg.StoredEnergy(), want)
 	}
-	if want := explicit.budget.Cap.MaxEnergy(); explicit.StoredEnergy() != want {
-		t.Fatalf("tag starts at %g J, want the full %g J", explicit.StoredEnergy(), want)
-	}
-	if !zero.budget.Cap.Alive() || !explicit.budget.Cap.Alive() {
+	if tg.StoredEnergy() < tg.budget.Cap.MinEnergy() {
 		t.Fatal("a freshly built tag must start above brown-out")
 	}
 }
@@ -50,9 +43,6 @@ func TestDefaultCapacitorStartsFull(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Rho: 2}); err == nil {
 		t.Fatal("rho > 1 must error")
-	}
-	if _, err := New(Config{DetectorCutoffHz: 1000}); err == nil {
-		t.Fatal("detector RC without sample rate must error")
 	}
 }
 
@@ -101,7 +91,7 @@ func TestAcquireDecodesHeader(t *testing.T) {
 			t.Fatal("tag must absorb during acquisition")
 		}
 	}
-	if !tg.Acquired() || tg.Header() != hdr {
+	if !tg.Acquired() || tg.header != hdr {
 		t.Fatal("acquired state not recorded")
 	}
 }
@@ -287,14 +277,21 @@ func TestReflectWaveformPanicsOnShortStates(t *testing.T) {
 	ReflectWaveform(sigproc.NewIQ(4), []byte{1}, 0.5, nil)
 }
 
+// idealBudget is a lossless harvester feeding a 1 F capacitor charged to
+// 1 V, far from both voltage limits, so energy deltas are easy to read.
+func idealBudget() energy.Budget {
+	b := energy.Budget{
+		Harvester: energy.Harvester{Efficiency: 1, SensitivityW: 0},
+		Cap:       energy.Capacitor{CapacitanceF: 1, MaxVoltageV: 100, MinVoltageV: 0.001},
+	}
+	b.Cap.SetVoltage(1)
+	return b
+}
+
 func TestEnergyAccountingReflectCostsPower(t *testing.T) {
 	mk := func(rho float64) float64 {
-		tg := newTestTag(t, Config{
-			Rho:       rho,
-			Harvester: energy.Harvester{Efficiency: 1, SensitivityW: 0},
-			Capacitor: energy.Capacitor{CapacitanceF: 1, MaxVoltageV: 100, MinVoltageV: 0.001},
-		})
-		tg.budget.Cap.SetVoltage(1)
+		tg := newTestTag(t, Config{Rho: rho})
+		tg.budget = idealBudget()
 		e0 := tg.StoredEnergy()
 		incident := sigproc.NewIQ(1000).Fill(1) // 1 W per sample
 		states := make([]byte, 1000)
@@ -314,34 +311,9 @@ func TestEnergyAccountingReflectCostsPower(t *testing.T) {
 	}
 }
 
-func TestDetectorRCStillDecodes(t *testing.T) {
-	const fs = 1e6
-	modem := phy.OOK{SamplesPerChip: 8}
-	hdr := testHeader(16, 16)
-	block := buildAcquireBlock(t, modem, 16, hdr, 6, 0.01)
-	tg := newTestTag(t, Config{
-		Modem:            modem,
-		DetectorCutoffHz: fs / 8, // well above the chip rate
-		SampleRate:       fs,
-	})
-	// View extends one chip past the block to absorb RC group delay.
-	blockLen := len(block)
-	block = append(block, buildAcquireBlock(t, modem, 0, hdr, 2, 0.01)[:8]...)
-	_, res := tg.Acquire(block, blockLen, fs)
-	if !res.OK {
-		t.Fatal("acquire must survive a reasonable detector RC")
-	}
-	if res.ChipOffset == 0 {
-		t.Log("note: RC delay did not shift chip boundaries (acceptable)")
-	}
-}
-
 func TestFlushWithIncidentAccountsEnergy(t *testing.T) {
-	tg := newTestTag(t, Config{
-		Harvester: energy.Harvester{Efficiency: 1, SensitivityW: 0},
-		Capacitor: energy.Capacitor{CapacitanceF: 1, MaxVoltageV: 100, MinVoltageV: 0.001},
-	})
-	tg.budget.Cap.SetVoltage(1)
+	tg := newTestTag(t, Config{})
+	tg.budget = idealBudget()
 	e0 := tg.StoredEnergy()
 	tg.Flush(sigproc.NewIQ(100).Fill(1), 0, 1e3)
 	if tg.StoredEnergy() <= e0 {
