@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/feedback"
 	"repro/internal/phy"
 	"repro/internal/reader"
@@ -65,7 +66,7 @@ func main() {
 		fatal(err)
 	}
 	// Propagate and run the tag phase by phase, assembling full traces.
-	pl := channel.NewLogDistance(915e6, 2.5)
+	pl := channel.NewLogDistance(core.CarrierHz, core.PathLossExponent)
 	g := pl.Gain(*dist)
 	incident := wave.Clone().ScaleReal(sqrt(g))
 	src.FillNoise(incident, 1e-12)
@@ -73,16 +74,16 @@ func main() {
 	states := make([]byte, 0, len(wave))
 	margin := tg.MarginSamples()
 	acqView := incident[:min(layout.AcquireEnd+margin, len(incident))]
-	st, acq := tg.Acquire(acqView, layout.AcquireEnd, 1e6)
+	st, acq := tg.Acquire(acqView, layout.AcquireEnd, core.SampleRate)
 	states = append(states, st...)
 	if acq.OK {
 		for i := 0; i < hdr.NumChunks(); i++ {
 			s, e := layout.ChunkBlock(i)
 			view := incident[s:min(e+margin, len(incident))]
-			states = append(states, tg.ProcessChunk(view, e-s, 1e6)...)
+			states = append(states, tg.ProcessChunk(view, e-s, core.SampleRate)...)
 		}
 		fs, fe := layout.FlushBlock()
-		states = append(states, tg.Flush(incident[fs:fe], 0, 1e6)...)
+		states = append(states, tg.Flush(incident[fs:fe], 0, core.SampleRate)...)
 	} else {
 		states = feedback.AppendIdleStates(states, len(wave)-len(states))
 	}
@@ -93,7 +94,7 @@ func main() {
 	// Reader receive chain: leak + reflection.
 	refl := tag.ReflectWaveform(incident[:len(wave)], states, *rho, nil)
 	rx := make(sigproc.IQ, len(wave))
-	leakAmp := complex(sqrt(0.01), 0)
+	leakAmp := complex(sqrt(core.SelfLeakGain), 0)
 	bwd := complex(sqrt(g), 0)
 	for i := range rx {
 		rx[i] = leakAmp*wave[i] + bwd*refl[i]

@@ -53,7 +53,9 @@ type (
 	TransferResult = core.TransferResult
 	// ChunkReport is the per-chunk ground truth vs observation record.
 	ChunkReport = core.ChunkReport
-	// OOK is the forward-link modem configuration.
+	// OOK is the forward-link modem configuration: chip oversampling
+	// and modulation depth. High chips have a fixed amplitude of 1
+	// before the link scales the waveform to its transmit power.
 	OOK = phy.OOK
 )
 
@@ -62,7 +64,9 @@ func NewLink(cfg LinkConfig) (*Link, error) { return core.NewLink(cfg) }
 
 // Packet-level protocol types.
 type (
-	// MACParams dimensions the packet-level protocols.
+	// MACParams dimensions the packet-level protocols. Every frame
+	// attempt pays a fixed 12-byte header, and each half-duplex
+	// acknowledgement a fixed 16 bytes of airtime.
 	MACParams = mac.Params
 	// MACResult aggregates a protocol run.
 	MACResult = mac.Result
@@ -109,7 +113,10 @@ func NewBlockACKProtocol(p MACParams) mac.Protocol {
 type (
 	// RateSpec is one rate-table entry for adaptation experiments.
 	RateSpec = rateadapt.RateSpec
-	// AdaptConfig configures a rate-adaptation trace run.
+	// AdaptConfig configures a rate-adaptation trace run. The rate
+	// table is fixed at the four default rates (0.25x to 2x), each
+	// delivered chunk carries 64 payload bytes, and feedback is
+	// error-free.
 	AdaptConfig = rateadapt.SimConfig
 	// AdaptResult summarises a trace run.
 	AdaptResult = rateadapt.TraceResult
@@ -119,10 +126,7 @@ type (
 // "fd", "arf", "fixed-slow" (always the first rate) or "fixed-fast"
 // (always the last). Unknown names default to "fd".
 func RunAdaptationTrace(cfg AdaptConfig, policy string, nChunks int) AdaptResult {
-	n := len(cfg.Rates)
-	if n == 0 {
-		n = len(rateadapt.DefaultRates)
-	}
+	n := len(rateadapt.DefaultRates)
 	var a rateadapt.Adapter
 	switch policy {
 	case "arf":

@@ -22,7 +22,7 @@ const unreachableAllowlist = "testdata/unreachable.txt"
 // stagedLines is the number of "staged" lines in the allowlist. It only
 // goes down: deleting staged code lowers it, and a declaration that a
 // change leaves unreachable is deleted in that change, not staged.
-const stagedLines = 119
+const stagedLines = 117
 
 // allowlistTags are the tags an allowlist line may carry.
 var allowlistTags = map[string]bool{"harness": true, "kept": true, "staged": true}

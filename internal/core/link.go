@@ -53,15 +53,19 @@ type LinkConfig struct {
 	Seed uint64
 }
 
-// The fixed plant: the sample rate in Hz and the reader's TX->RX
-// leakage power gain (-20 dB antenna isolation).
+// The fixed plant, shared by every waveform-level experiment: the
+// sample rate, the carrier, the log-distance path-loss exponent of
+// every link path, and the reader's TX->RX leakage power gain (-20 dB
+// antenna isolation).
 const (
-	sampleRate   = 1e6
-	selfLeakGain = 0.01
+	SampleRate       = 1e6
+	CarrierHz        = 915e6
+	PathLossExponent = 2.5
+	SelfLeakGain     = 0.01
 )
 
 // pathLoss is the propagation model of every link path.
-var pathLoss = channel.NewLogDistance(915e6, 2.5)
+var pathLoss = channel.NewLogDistance(CarrierHz, PathLossExponent)
 
 // InterfererConfig describes a co-channel interfering transmitter that
 // corrupts chunks (and their feedback) while active — the collision the
@@ -163,7 +167,7 @@ func (l *Link) Reconfigure(cfg LinkConfig) error {
 	gain := pathLoss.Gain(cfg.DistanceM)
 	l.fwd = &channel.Path{Gain: gain}
 	l.bwd = &channel.Path{Gain: gain}
-	l.leak = &channel.Path{Gain: selfLeakGain}
+	l.leak = &channel.Path{Gain: SelfLeakGain}
 	l.intTag, l.intRd = nil, nil
 	if ic := cfg.Interferer; ic != nil {
 		l.intTag = &channel.Path{Gain: pathLoss.Gain(ic.DistanceToTagM)}
@@ -322,7 +326,7 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 	acqEnd := layout.AcquireEnd
 	viewEnd := minInt(acqEnd+margin, len(wave))
 	incident := l.propagateToTag(wave[:viewEnd], false)
-	_, acq := l.tg.Acquire(incident, acqEnd, sampleRate)
+	_, acq := l.tg.Acquire(incident, acqEnd, SampleRate)
 	res.Acquired = acq.OK
 	res.SamplesUsed = acqEnd
 	// Reader calibrates its leakage estimate on the idle pad (tag is
@@ -359,7 +363,7 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 		incident := l.propagateToTag(wave[s:viewEnd], interfered)
 		var states []byte
 		if i < tagN {
-			states = l.tg.ProcessChunk(incident, blockLen, sampleRate)
+			states = l.tg.ProcessChunk(incident, blockLen, SampleRate)
 		} else {
 			// Tag believes the frame already ended: it absorbs quietly.
 			l.idleStates = feedback.AppendIdleStates(l.idleStates[:0], blockLen)
@@ -413,7 +417,7 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 		fs, fe := layout.FlushBlock()
 		if fe > fs {
 			incident := l.propagateToTag(wave[fs:fe], false)
-			states := l.tg.Flush(incident, 0, sampleRate)
+			states := l.tg.Flush(incident, 0, SampleRate)
 			l.rdRx = l.receiverBlock(wave[fs:fe], incident, states, false, l.rdRx)
 			bit, m := l.rd.DecodeFeedbackBit(l.rdRx, wave[fs:fe])
 			if !opts.DisableFeedback && n > 0 {

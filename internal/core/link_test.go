@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/energy"
 	"repro/internal/phy"
 	"repro/internal/reader"
 	"repro/internal/simrand"
@@ -81,18 +82,30 @@ func TestCleanTransferDeliversEverything(t *testing.T) {
 	}
 }
 
+// The tag pays a 1 µW circuit load from its capacitor. At 2 m it
+// harvests more than the load and tops the capacitor up block by block;
+// at 10 m the incident power is below the harvester floor, so the load
+// drains the capacitor for the whole frame. The same frame at both
+// distances must leave the tag richer at 2 m.
 func TestTransferHarvestsEnergy(t *testing.T) {
-	l := mustLink(t, cleanLinkConfig(3))
-	// Drain the cap below full so harvesting is visible.
-	l.Tag().StoredEnergy()
-	res, err := l.TransferFrame(testPayload(128, 4), TransferOptions{PadChips: 8})
-	if err != nil {
-		t.Fatal(err)
+	const near, far = 2.0, 10.0
+	harvested := func(d float64) float64 {
+		cfg := cleanLinkConfig(3)
+		cfg.DistanceM, cfg.CircuitW = d, 1e-6
+		res, err := mustLink(t, cfg).TransferFrame(testPayload(128, 4), TransferOptions{PadChips: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Acquired {
+			t.Fatalf("tag at %g m did not acquire", d)
+		}
+		return res.HarvestedJ
 	}
-	_ = res
-	// At full charge the delta can be 0 (clamped); validate no outage.
-	if l.Tag().HarvestedOutageFraction() != 0 {
-		t.Fatal("tag browned out with zero circuit consumption")
+	if incident := cleanLinkConfig(3).TxPowerW * pathLoss.Gain(far); (energy.Harvester{}).OutputPower(incident) != 0 {
+		t.Fatalf("incident %g W at %g m is not below the harvester floor", incident, far)
+	}
+	if hn, hf := harvested(near), harvested(far); !(hn > hf) {
+		t.Fatalf("harvested %g J at %g m, want more than the %g J at %g m", hn, near, hf, far)
 	}
 }
 

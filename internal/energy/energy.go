@@ -1,8 +1,8 @@
 // Package energy models the battery-free tag's power subsystem: an RF
 // harvester with a sensitivity floor and conversion efficiency, and a
-// storage capacitor with leakage. The reflection coefficient trade-off
-// central to the paper appears here: power the tag reflects for feedback
-// is power it cannot harvest.
+// storage capacitor. The reflection coefficient trade-off central to
+// the paper appears here: power the tag reflects for feedback is power
+// it cannot harvest.
 package energy
 
 import (
@@ -56,20 +56,21 @@ func (h Harvester) Harvest(incidentW, dt float64) float64 {
 }
 
 // Capacitor is the tag's energy store. Energy bookkeeping is in joules;
-// voltage is derived (E = C*V^2/2) for the brown-out check.
+// voltage is derived (E = C*V^2/2) for the brown-out check. The stored
+// energy is capped at 3.3 V, and below the 1.8 V brown-out threshold
+// the tag logic cannot run.
 type Capacitor struct {
 	// CapacitanceF is the capacitance in farads. Default 100 µF.
 	CapacitanceF float64
-	// MaxVoltageV caps the stored energy. Default 3.3 V.
-	MaxVoltageV float64
-	// MinVoltageV is the brown-out threshold below which the tag logic
-	// cannot run. Default 1.8 V.
-	MinVoltageV float64
-	// LeakageW is a constant self-discharge power. Default 0.
-	LeakageW float64
 
 	energyJ float64
 }
+
+// The capacitor's voltage cap and brown-out threshold.
+const (
+	maxVoltageV = 3.3
+	minVoltageV = 1.8
+)
 
 func (c *Capacitor) capF() float64 {
 	if c.CapacitanceF <= 0 {
@@ -78,29 +79,15 @@ func (c *Capacitor) capF() float64 {
 	return c.CapacitanceF
 }
 
-func (c *Capacitor) maxV() float64 {
-	if c.MaxVoltageV <= 0 {
-		return 3.3
-	}
-	return c.MaxVoltageV
-}
-
-func (c *Capacitor) minV() float64 {
-	if c.MinVoltageV <= 0 {
-		return 1.8
-	}
-	return c.MinVoltageV
-}
-
 // MaxEnergy returns the storable energy at the voltage cap.
 func (c *Capacitor) MaxEnergy() float64 {
-	v := c.maxV()
+	v := maxVoltageV
 	return 0.5 * c.capF() * v * v
 }
 
 // MinEnergy returns the energy at the brown-out voltage.
 func (c *Capacitor) MinEnergy() float64 {
-	v := c.minV()
+	v := minVoltageV
 	return 0.5 * c.capF() * v * v
 }
 
@@ -118,8 +105,8 @@ func (c *Capacitor) SetVoltage(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	if v > c.maxV() {
-		v = c.maxV()
+	if v > maxVoltageV {
+		v = maxVoltageV
 	}
 	c.energyJ = 0.5 * c.capF() * v * v
 }
@@ -152,20 +139,6 @@ func (c *Capacitor) Draw(joules float64) bool {
 	return true
 }
 
-// Leak applies self-discharge over dt seconds.
-func (c *Capacitor) Leak(dt float64) {
-	if c.LeakageW <= 0 || dt <= 0 {
-		return
-	}
-	c.energyJ -= c.LeakageW * dt
-	if c.energyJ < 0 {
-		c.energyJ = 0
-	}
-}
-
-// Alive reports whether the tag is above brown-out.
-func (c *Capacitor) Alive() bool { return c.energyJ >= c.MinEnergy() }
-
 // Budget simulates the steady-state energy balance of a tag: harvesting
 // from incident power while paying circuit consumption, tracking outage
 // (time spent browned out).
@@ -185,7 +158,6 @@ type Budget struct {
 // step.
 func (b *Budget) Step(incidentW, dt float64) bool {
 	b.Cap.Store(b.Harvester.Harvest(incidentW, dt))
-	b.Cap.Leak(dt)
 	ok := b.Cap.Draw(b.CircuitW * dt)
 	b.totalT += dt
 	if !ok {
@@ -202,9 +174,6 @@ func (b *Budget) OutageFraction() float64 {
 	}
 	return b.outageT / b.totalT
 }
-
-// Reset clears accumulated outage statistics (not the capacitor state).
-func (b *Budget) Reset() { b.totalT, b.outageT = 0, 0 }
 
 // SplitIncident divides incident RF power at the tag antenna between the
 // backscatter modulator and the harvester for a reflection coefficient

@@ -49,7 +49,7 @@ func TestHarvestEnergyIntegrates(t *testing.T) {
 }
 
 func TestCapacitorEnergyVoltage(t *testing.T) {
-	c := &Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8}
+	c := &Capacitor{CapacitanceF: 100e-6}
 	c.SetVoltage(3.0)
 	wantE := 0.5 * 100e-6 * 9
 	if math.Abs(c.Energy()-wantE) > 1e-12 {
@@ -61,7 +61,7 @@ func TestCapacitorEnergyVoltage(t *testing.T) {
 }
 
 func TestCapacitorSetVoltageClamps(t *testing.T) {
-	c := &Capacitor{MaxVoltageV: 3.3}
+	c := &Capacitor{}
 	c.SetVoltage(100)
 	if math.Abs(c.Voltage()-3.3) > 1e-9 {
 		t.Fatalf("voltage = %g, want clamp at 3.3", c.Voltage())
@@ -73,8 +73,8 @@ func TestCapacitorSetVoltageClamps(t *testing.T) {
 }
 
 func TestCapacitorStoreClampsAtMax(t *testing.T) {
-	c := &Capacitor{CapacitanceF: 1e-6, MaxVoltageV: 2}
-	stored := c.Store(1) // way more than max (2e-6 J)
+	c := &Capacitor{CapacitanceF: 1e-6}
+	stored := c.Store(1) // way more than max (5.4e-6 J)
 	if math.Abs(stored-c.MaxEnergy()) > 1e-15 {
 		t.Fatalf("stored %g, want %g", stored, c.MaxEnergy())
 	}
@@ -87,7 +87,7 @@ func TestCapacitorStoreClampsAtMax(t *testing.T) {
 }
 
 func TestCapacitorDrawBrownOut(t *testing.T) {
-	c := &Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8}
+	c := &Capacitor{CapacitanceF: 100e-6}
 	c.SetVoltage(2.0)
 	headroom := c.Energy() - c.MinEnergy()
 	if !c.Draw(headroom * 0.9) {
@@ -101,46 +101,10 @@ func TestCapacitorDrawBrownOut(t *testing.T) {
 	}
 }
 
-func TestCapacitorAlive(t *testing.T) {
-	c := &Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8}
-	c.SetVoltage(1.9)
-	if !c.Alive() {
-		t.Fatal("above brown-out should be alive")
-	}
-	c.SetVoltage(1.0)
-	if c.Alive() {
-		t.Fatal("below brown-out should be dead")
-	}
-}
-
-func TestCapacitorLeak(t *testing.T) {
-	c := &Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, LeakageW: 1e-6}
-	c.SetVoltage(3.0)
-	e0 := c.Energy()
-	c.Leak(10)
-	if math.Abs(e0-c.Energy()-1e-5) > 1e-12 {
-		t.Fatalf("leak removed %g, want 1e-5", e0-c.Energy())
-	}
-	// Leak never goes negative.
-	c2 := &Capacitor{LeakageW: 1}
-	c2.Leak(1e9)
-	if c2.Energy() != 0 {
-		t.Fatal("leak must clamp at zero")
-	}
-	// No leakage configured: no-op.
-	c3 := &Capacitor{}
-	c3.SetVoltage(2)
-	e := c3.Energy()
-	c3.Leak(100)
-	if c3.Energy() != e {
-		t.Fatal("zero leakage must not discharge")
-	}
-}
-
 func TestBudgetSurplus(t *testing.T) {
 	b := &Budget{
 		Harvester: Harvester{Efficiency: 0.5, SensitivityW: 0},
-		Cap:       Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8},
+		Cap:       Capacitor{CapacitanceF: 100e-6},
 		CircuitW:  1e-6,
 	}
 	b.Cap.SetVoltage(2.5)
@@ -156,7 +120,7 @@ func TestBudgetSurplus(t *testing.T) {
 func TestBudgetDeficitEventuallyOutages(t *testing.T) {
 	b := &Budget{
 		Harvester: Harvester{Efficiency: 0.3, SensitivityW: 0},
-		Cap:       Capacitor{CapacitanceF: 10e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8},
+		Cap:       Capacitor{CapacitanceF: 10e-6},
 		CircuitW:  100e-6,
 	}
 	b.Cap.SetVoltage(3.3)
@@ -166,18 +130,6 @@ func TestBudgetDeficitEventuallyOutages(t *testing.T) {
 	}
 	if b.OutageFraction() < 0.5 {
 		t.Fatalf("deficit budget outage only %g", b.OutageFraction())
-	}
-}
-
-func TestBudgetReset(t *testing.T) {
-	b := &Budget{CircuitW: 1}
-	b.Step(0, 1)
-	if b.OutageFraction() == 0 {
-		t.Fatal("unpowered budget should record outage")
-	}
-	b.Reset()
-	if b.OutageFraction() != 0 {
-		t.Fatal("Reset must clear stats")
 	}
 }
 
@@ -213,7 +165,7 @@ func TestSplitConservesProperty(t *testing.T) {
 // unchanged when within bounds.
 func TestStoreDrawRoundTripProperty(t *testing.T) {
 	f := func(amtRaw uint16) bool {
-		c := &Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.0}
+		c := &Capacitor{CapacitanceF: 100e-6}
 		c.SetVoltage(2.0)
 		e0 := c.Energy()
 		amt := float64(amtRaw) / 65535 * 1e-5 // small amounts

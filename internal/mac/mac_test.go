@@ -258,15 +258,12 @@ func TestParamsAirtimeHelpers(t *testing.T) {
 	if got := p.ChunkAirBytes(); got != 65 {
 		t.Fatalf("ChunkAirBytes = %d, want 65", got)
 	}
-	if got := p.HeaderAirBytes(); got != 12 {
-		t.Fatalf("HeaderAirBytes = %d, want 12", got)
-	}
 	if got, want := p.FrameAirBytes(), 12+24*65; got != want {
 		t.Fatalf("FrameAirBytes = %d, want %d", got, want)
 	}
 	// Explicit dimensions pass through.
-	q := Params{PayloadBytes: 100, ChunkBytes: 50, HeaderBytes: 8}
-	if got, want := q.FrameAirBytes(), 8+2*51; got != want {
+	q := Params{PayloadBytes: 100, ChunkBytes: 50}
+	if got, want := q.FrameAirBytes(), 12+2*51; got != want {
 		t.Fatalf("FrameAirBytes = %d, want %d", got, want)
 	}
 	// The helpers must not mutate the receiver (value semantics).

@@ -6,6 +6,16 @@ import (
 	"repro/internal/simrand"
 )
 
+// The fixed per-attempt costs in airtime bytes. HeaderAirBytes is the
+// overhead of every frame attempt (preamble + header). AckAirBytes is
+// the half-duplex acknowledgement, including the RX/TX turnaround;
+// full-duplex protocols never pay it, because their feedback is
+// concurrent.
+const (
+	HeaderAirBytes = 12
+	AckAirBytes    = 16
+)
+
 // Params describe the common link dimensions shared by every protocol.
 type Params struct {
 	// PayloadBytes per frame.
@@ -13,13 +23,6 @@ type Params struct {
 	// ChunkBytes per chunk (payload split; each chunk carries 1 CRC
 	// byte on air).
 	ChunkBytes int
-	// HeaderBytes is the per-frame-attempt overhead (preamble + header),
-	// default 12.
-	HeaderBytes int
-	// AckBytes is the half-duplex acknowledgement cost in airtime bytes,
-	// including the RX/TX turnaround; default 16. Full-duplex protocols
-	// never pay it — their feedback is concurrent.
-	AckBytes int
 	// FeedbackBER is the probability a full-duplex feedback bit flips.
 	FeedbackBER float64
 	// MaxAttempts bounds retransmission rounds per frame (default 32).
@@ -39,12 +42,6 @@ func (p *Params) applyDefaults() {
 	}
 	if p.ChunkBytes <= 0 {
 		p.ChunkBytes = 64
-	}
-	if p.HeaderBytes <= 0 {
-		p.HeaderBytes = 12
-	}
-	if p.AckBytes <= 0 {
-		p.AckBytes = 16
 	}
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 32
@@ -70,27 +67,12 @@ func (p Params) ChunkAirBytes() int {
 	return p.chunkAir()
 }
 
-// HeaderAirBytes returns the per-frame-attempt header overhead, after
-// defaults.
-func (p Params) HeaderAirBytes() int {
-	p.applyDefaults()
-	return p.HeaderBytes
-}
-
 // FrameAirBytes returns the airtime of one whole-frame attempt (header
 // plus every chunk), after defaults — the cost a half-duplex protocol
 // burns when a collision goes undetected until the missing ACK.
 func (p Params) FrameAirBytes() int {
 	p.applyDefaults()
-	return p.HeaderBytes + p.NumChunks()*p.chunkAir()
-}
-
-// AckAirBytes returns the half-duplex acknowledgement airtime, after
-// defaults — exposed for closed-form airtime models of the half-duplex
-// protocols.
-func (p Params) AckAirBytes() int {
-	p.applyDefaults()
-	return p.AckBytes
+	return HeaderAirBytes + p.NumChunks()*p.chunkAir()
 }
 
 // Result accumulates protocol statistics over a run.
@@ -199,7 +181,7 @@ func (s *StopAndWait) Run(nFrames int, loss Loss) Result {
 	p.applyDefaults()
 	res := Result{Protocol: s.Name()}
 	n := p.NumChunks()
-	frameAir := int64(p.HeaderBytes + n*p.chunkAir())
+	frameAir := int64(HeaderAirBytes + n*p.chunkAir())
 	for f := 0; f < nFrames; f++ {
 		res.FramesSent++
 		var frameElapsed int64
@@ -218,11 +200,11 @@ func (s *StopAndWait) Run(nFrames int, loss Loss) Result {
 			}
 			// Half-duplex ACK exchange (assumed reliable but costly):
 			// the backscattered ACK occupies the channel too.
-			res.AirtimeBytes += frameAir + int64(p.AckBytes)
+			res.AirtimeBytes += frameAir + AckAirBytes
 			frameElapsed += frameAir
-			res.ElapsedBytes += frameAir + int64(p.AckBytes)
-			frameElapsed += int64(p.AckBytes)
-			res.WastedBytes += int64(p.AckBytes)
+			res.ElapsedBytes += frameAir + AckAirBytes
+			frameElapsed += AckAirBytes
+			res.WastedBytes += AckAirBytes
 			// The sender learns the frame's fate only after the whole
 			// frame plus the ACK turnaround.
 			res.FeedbackDelaySum += int64(n) // first chunk waited ~n chunk-times
@@ -274,7 +256,7 @@ func (s *BlockACK) Run(nFrames int, loss Loss) Result {
 		delivered := false
 		for attempt := 0; attempt < p.MaxAttempts && pending > 0; attempt++ {
 			res.Attempts++
-			attemptAir := int64(p.HeaderBytes + pending*p.chunkAir())
+			attemptAir := int64(HeaderAirBytes + pending*p.chunkAir())
 			stillBad := 0
 			for c := 0; c < pending; c++ {
 				res.ChunkTx++
@@ -286,10 +268,10 @@ func (s *BlockACK) Run(nFrames int, loss Loss) Result {
 					res.WastedBytes += int64(p.chunkAir())
 				}
 			}
-			res.AirtimeBytes += attemptAir + int64(p.AckBytes)
-			res.ElapsedBytes += attemptAir + int64(p.AckBytes)
-			frameElapsed += attemptAir + int64(p.AckBytes)
-			res.WastedBytes += int64(p.AckBytes)
+			res.AirtimeBytes += attemptAir + AckAirBytes
+			res.ElapsedBytes += attemptAir + AckAirBytes
+			frameElapsed += attemptAir + AckAirBytes
+			res.WastedBytes += AckAirBytes
 			res.FeedbackDelaySum += int64(pending)
 			res.FeedbackDelayCount++
 			pending = stillBad
@@ -406,14 +388,14 @@ func (s *FullDuplex) Run(nFrames int, loss Loss) Result {
 				for i := 0; i < n; i++ {
 					believed[i] = delivered[i]
 				}
-				res.AirtimeBytes += int64(p.HeaderBytes)
-				res.ElapsedBytes += int64(p.HeaderBytes)
-				frameElapsed += int64(p.HeaderBytes)
+				res.AirtimeBytes += HeaderAirBytes
+				res.ElapsedBytes += HeaderAirBytes
+				frameElapsed += HeaderAirBytes
 				continue
 			}
-			res.AirtimeBytes += int64(p.HeaderBytes)
-			res.ElapsedBytes += int64(p.HeaderBytes)
-			frameElapsed += int64(p.HeaderBytes)
+			res.AirtimeBytes += HeaderAirBytes
+			res.ElapsedBytes += HeaderAirBytes
+			frameElapsed += HeaderAirBytes
 			consecNACK := 0
 			for qi := 0; qi < len(queue); qi++ {
 				c := queue[qi]

@@ -84,8 +84,8 @@ func (e *engine) analyticFrame(w *netWorker, i int32) mac.Result {
 			p += (1 - p) * q
 		}
 	}
-	headerF := float64(e.params.HeaderAirBytes())
-	ackF := float64(e.params.AckAirBytes())
+	headerF := float64(mac.HeaderAirBytes)
+	ackF := float64(mac.AckAirBytes)
 	n := e.params.NumChunks()
 	A := e.params.MaxAttempts
 

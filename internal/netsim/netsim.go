@@ -550,7 +550,7 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	// attempt is burned.
 	collisionCost := frameAir
 	if sc.Protocol == "full-duplex" {
-		collisionCost = int64(params.HeaderAirBytes()) + int64(sc.AbortThreshold)*chunkAir
+		collisionCost = mac.HeaderAirBytes + int64(sc.AbortThreshold)*chunkAir
 		// Detection can never cost more than the frame it interrupts.
 		if collisionCost > frameAir {
 			collisionCost = frameAir

@@ -9,6 +9,8 @@ package netsim
 // boundaries.
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -107,4 +109,58 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Run and RunParallel(1) diverged")
 	}
+}
+
+// fuzzBudget reports whether a defaulted scenario is small enough for
+// one fuzz exec to stay in milliseconds: the per-round work grows with
+// tags, readers, contention slots and chunk attempts, and the run with
+// rounds.
+func fuzzBudget(sc Scenario) bool {
+	chunks := (sc.PayloadBytes + sc.ChunkBytes - 1) / sc.ChunkBytes
+	return sc.Tags <= 64 && sc.MaxRounds <= 16 && sc.Readers.Count <= 4 &&
+		sc.ContentionWindow <= 256 && chunks <= 64 && sc.MaxAttempts <= 16 &&
+		sc.Clusters <= 64 && len(sc.Faults.Events) <= 16 && len(sc.RateAdapt.Rates) <= 16
+}
+
+// FuzzRunWorkers extends the shard-determinism contract to generated
+// scenarios: every input that parses, validates and fits the work
+// budget must give the same result on one engine worker and on three.
+// The results are compared as %+v renderings, so NaN compares equal to
+// itself. The worker count is fixed, never fuzzed.
+func FuzzRunWorkers(f *testing.F) {
+	for _, name := range PresetNames() {
+		sc, err := Preset(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sc.Tags = min(sc.Tags, 64)
+		sc.MaxRounds = 16
+		sc.Readers.Count = min(sc.Readers.Count, 4)
+		js, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js, uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		sc.ApplyDefaults()
+		if sc.Validate() != nil || !fuzzBudget(sc) {
+			return
+		}
+		serial, err := RunParallel(sc, seed, 1)
+		if err != nil {
+			t.Fatalf("workers=1: %v", err)
+		}
+		sharded, err := RunParallel(sc, seed, 3)
+		if err != nil {
+			t.Fatalf("workers=3: %v", err)
+		}
+		if a, b := fmt.Sprintf("%+v", *serial), fmt.Sprintf("%+v", *sharded); a != b {
+			t.Fatalf("workers=1 and workers=3 diverged on %s seed %d:\n 1: %s\n 3: %s", data, seed, a, b)
+		}
+	})
 }

@@ -74,7 +74,7 @@ func PlaceTags(topology string, n int, radiusM float64, clusters int, spreadM fl
 
 // placeGrid fills a ceil(sqrt(n)) lattice over [-R, R]^2 row-major. A
 // cell landing on the origin is harmless: the path loss model clamps
-// distances below its MinDistanceM.
+// distances below 0.1 m.
 func placeGrid(n int, r float64) []Position {
 	side := int(math.Ceil(math.Sqrt(float64(n))))
 	out := make([]Position, 0, n)

@@ -12,15 +12,14 @@ import (
 // backscatter feedback channel has a carrier to reflect during every
 // chip — the same trick RFID readers' PIE encoding uses.
 //
-// The zero value modulates at 4 samples/chip, depth 0.75, amplitude 1.
+// High chips have amplitude 1; callers scale the waveform to their
+// transmit power. The zero value modulates at 4 samples/chip, depth 0.75.
 type OOK struct {
 	// SamplesPerChip sets the chip oversampling factor (default 4).
 	SamplesPerChip int
 	// Depth in (0, 1] is the modulation depth: low chips have amplitude
-	// Amplitude*(1-Depth). Default 0.75.
+	// 1-Depth. Default 0.75.
 	Depth float64
-	// Amplitude is the high-chip amplitude (default 1).
-	Amplitude float64
 }
 
 func (o OOK) sps() int {
@@ -37,18 +36,14 @@ func (o OOK) depth() float64 {
 	return o.Depth
 }
 
-func (o OOK) amp() float64 {
-	if o.Amplitude <= 0 {
-		return 1
-	}
-	return o.Amplitude
-}
+// levelHigh is the amplitude of a high chip.
+const levelHigh = 1.0
 
 // LevelHigh returns the amplitude of a high chip.
-func (o OOK) LevelHigh() float64 { return o.amp() }
+func (o OOK) LevelHigh() float64 { return levelHigh }
 
 // LevelLow returns the amplitude of a low chip.
-func (o OOK) LevelLow() float64 { return o.amp() * (1 - o.depth()) }
+func (o OOK) LevelLow() float64 { return levelHigh * (1 - o.depth()) }
 
 // MeanPower returns the average transmit power assuming balanced chips.
 func (o OOK) MeanPower() float64 {
@@ -95,34 +90,16 @@ func (o OOK) NumSamples(nChips int) int { return nChips * o.sps() }
 // chip are ignored. The offset argument skips samples before the first
 // chip boundary (from preamble sync).
 func (o OOK) ChipLevels(env []float64, offset int, dst []float64) []float64 {
-	return o.ChipLevelsGuard(env, offset, 0, dst)
-}
-
-// ChipLevelsGuard is ChipLevels with a guard interval: the first
-// guard fraction (in [0, 0.5)) of each chip's samples is skipped before
-// averaging. Receivers whose envelope detector has a slow RC use the
-// guard to avoid the inter-chip transition smear.
-func (o OOK) ChipLevelsGuard(env []float64, offset int, guard float64, dst []float64) []float64 {
 	n := o.sps()
 	if offset < 0 {
 		offset = 0
 	}
-	skip := 0
-	if guard > 0 {
-		if guard >= 0.5 {
-			guard = 0.5
-		}
-		skip = int(guard * float64(n))
-		if skip >= n {
-			skip = n - 1
-		}
-	}
 	for i := offset; i+n <= len(env); i += n {
 		var s float64
-		for _, v := range env[i+skip : i+n] {
+		for _, v := range env[i : i+n] {
 			s += v
 		}
-		dst = append(dst, s/float64(n-skip))
+		dst = append(dst, s/float64(n))
 	}
 	return dst
 }
@@ -135,7 +112,7 @@ func (o OOK) SliceThreshold(channelAmp float64) float64 {
 
 // String describes the modem configuration.
 func (o OOK) String() string {
-	return fmt.Sprintf("ook(sps=%d depth=%.2f amp=%.2f)", o.sps(), o.depth(), o.amp())
+	return fmt.Sprintf("ook(sps=%d depth=%.2f)", o.sps(), o.depth())
 }
 
 // Rate describes one entry of the forward-link rate table: a chip

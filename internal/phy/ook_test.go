@@ -20,16 +20,16 @@ func TestOOKDefaults(t *testing.T) {
 }
 
 func TestOOKAppendChips(t *testing.T) {
-	o := OOK{SamplesPerChip: 2, Depth: 0.5, Amplitude: 2}
+	o := OOK{SamplesPerChip: 2, Depth: 0.5}
 	wave := o.AppendChips(nil, []byte{1, 0})
 	if len(wave) != 4 {
 		t.Fatalf("len = %d, want 4", len(wave))
 	}
-	if real(wave[0]) != 2 || real(wave[1]) != 2 {
+	if real(wave[0]) != 1 || real(wave[1]) != 1 {
 		t.Fatalf("high chip = %v", wave[:2])
 	}
-	if real(wave[2]) != 1 || real(wave[3]) != 1 {
-		t.Fatalf("low chip = %v (want amplitude 1)", wave[2:])
+	if real(wave[2]) != 0.5 || real(wave[3]) != 0.5 {
+		t.Fatalf("low chip = %v (want amplitude 0.5)", wave[2:])
 	}
 }
 
@@ -96,7 +96,7 @@ func TestOOKModulateDemodulateRoundTrip(t *testing.T) {
 }
 
 func TestOOKMeanPower(t *testing.T) {
-	o := OOK{Depth: 1, Amplitude: 1} // true on-off keying
+	o := OOK{Depth: 1} // true on-off keying
 	if math.Abs(o.MeanPower()-0.5) > 1e-12 {
 		t.Fatalf("mean power = %g, want 0.5", o.MeanPower())
 	}

@@ -183,10 +183,10 @@ func (a *FullDuplex) OnChunk(ok bool) {
 // OnFrame implements Adapter (already adapted per chunk).
 func (a *FullDuplex) OnFrame(bool) {}
 
-// SimConfig describes a rate-adaptation trace run.
+// SimConfig describes a rate-adaptation trace run over the
+// DefaultRates table. Every delivered chunk carries 64 payload bytes,
+// and feedback reaches the adapter error-free.
 type SimConfig struct {
-	// Rates is the rate table (default DefaultRates).
-	Rates []RateSpec
 	// MeanSNRdB is the trace's average SNR.
 	MeanSNRdB float64
 	// FadeRho is the per-chunk-time Gauss-Markov correlation of the
@@ -194,26 +194,19 @@ type SimConfig struct {
 	FadeRho float64
 	// FrameChunks is the frame length in chunks (default 24).
 	FrameChunks int
-	// ChunkPayloadBytes sizes goodput accounting (default 64).
-	ChunkPayloadBytes int
-	// FeedbackBER flips per-chunk feedback bits (FD adapter only).
-	FeedbackBER float64
 	// Seed drives the fading trace and losses.
 	Seed uint64
 }
 
+// chunkPayloadBytes sizes the goodput accounting of a trace run.
+const chunkPayloadBytes = 64
+
 func (c *SimConfig) applyDefaults() {
-	if len(c.Rates) == 0 {
-		c.Rates = DefaultRates
-	}
 	if c.FadeRho == 0 {
 		c.FadeRho = 0.99
 	}
 	if c.FrameChunks <= 0 {
 		c.FrameChunks = 24
-	}
-	if c.ChunkPayloadBytes <= 0 {
-		c.ChunkPayloadBytes = 64
 	}
 }
 
@@ -259,7 +252,7 @@ func (r TraceResult) String() string {
 func RunTrace(cfg SimConfig, a Adapter, nChunks int) TraceResult {
 	cfg.applyDefaults()
 	src := simrand.New(cfg.Seed)
-	res := TraceResult{Adapter: a.Name(), RateTime: make([]float64, len(cfg.Rates))}
+	res := TraceResult{Adapter: a.Name(), RateTime: make([]float64, len(DefaultRates))}
 	// Gauss-Markov complex fading; instantaneous SNR = mean * |h|^2.
 	h := src.RayleighCoeff(1)
 	rho := cfg.FadeRho
@@ -276,7 +269,7 @@ func RunTrace(cfg SimConfig, a Adapter, nChunks int) TraceResult {
 			res.Switches++
 			prevRate = ri
 		}
-		r := cfg.Rates[ri]
+		r := DefaultRates[ri]
 		dt := 1 / r.Mult
 		res.ElapsedTime += dt
 		res.RateTime[ri] += dt
@@ -286,13 +279,9 @@ func RunTrace(cfg SimConfig, a Adapter, nChunks int) TraceResult {
 			res.ChunksLost++
 			frameOK = false
 		} else {
-			res.DeliveredBytes += int64(cfg.ChunkPayloadBytes)
+			res.DeliveredBytes += chunkPayloadBytes
 		}
-		fb := !lost
-		if cfg.FeedbackBER > 0 && src.Bool(cfg.FeedbackBER) {
-			fb = !fb
-		}
-		a.OnChunk(fb)
+		a.OnChunk(!lost)
 		chunkInFrame++
 		if chunkInFrame == cfg.FrameChunks {
 			a.OnFrame(frameOK)

@@ -184,15 +184,3 @@ func TestTraceResultAccessors(t *testing.T) {
 		t.Fatal("String must render")
 	}
 }
-
-func TestFeedbackBERDegradesFD(t *testing.T) {
-	clean := SimConfig{MeanSNRdB: 12, FadeRho: 0.97, Seed: 19}
-	noisy := clean
-	noisy.FeedbackBER = 0.2
-	a := RunTrace(clean, NewFullDuplex(len(DefaultRates)), 30000)
-	b := RunTrace(noisy, NewFullDuplex(len(DefaultRates)), 30000)
-	if b.ThroughputBytesPerTime() >= a.ThroughputBytesPerTime() {
-		t.Fatalf("20%% feedback BER should hurt: %g vs %g",
-			b.ThroughputBytesPerTime(), a.ThroughputBytesPerTime())
-	}
-}

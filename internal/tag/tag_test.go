@@ -31,7 +31,8 @@ func TestNewDefaults(t *testing.T) {
 // and a freshly built tag starts it full and above brown-out.
 func TestDefaultCapacitorStartsFull(t *testing.T) {
 	tg := newTestTag(t, Config{})
-	want := (&energy.Capacitor{CapacitanceF: 100e-6, MaxVoltageV: 3.3, MinVoltageV: 1.8}).MaxEnergy()
+	capF, maxV := 100e-6, 3.3
+	want := 0.5 * capF * maxV * maxV
 	if tg.StoredEnergy() != want {
 		t.Fatalf("tag starts at %g J, want the full %g J", tg.StoredEnergy(), want)
 	}
@@ -278,13 +279,14 @@ func TestReflectWaveformPanicsOnShortStates(t *testing.T) {
 }
 
 // idealBudget is a lossless harvester feeding a 1 F capacitor charged to
-// 1 V, far from both voltage limits, so energy deltas are easy to read.
+// 2.5 V, joules away from both voltage limits (3.3 V and 1.8 V), so
+// energy deltas are easy to read.
 func idealBudget() energy.Budget {
 	b := energy.Budget{
 		Harvester: energy.Harvester{Efficiency: 1, SensitivityW: 0},
-		Cap:       energy.Capacitor{CapacitanceF: 1, MaxVoltageV: 100, MinVoltageV: 0.001},
+		Cap:       energy.Capacitor{CapacitanceF: 1},
 	}
-	b.Cap.SetVoltage(1)
+	b.Cap.SetVoltage(2.5)
 	return b
 }
 
